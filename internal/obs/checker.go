@@ -22,10 +22,11 @@ import (
 //     contract): no force round starts, and no ForceTo caller waits,
 //     while the emitting guardian holds a writer critical section.
 //     The shadow store is exempt by construction — it emits no Crit
-//     events, mirroring the analyzer's ForcePathPackages scope — and
-//     the rule is meaningful under serial schedules (the sweep),
-//     where one goroutine's crit bracket cannot interleave another's
-//     force.
+//     events, mirroring the analyzer's ForcePathPackages scope. The
+//     crit depth is one counter per guardian and crit/force events
+//     carry no actor, so the force-inside-crit check is sound only on
+//     serial schedules, where one goroutine's crit bracket cannot
+//     interleave another's force; see "Rule sets" below.
 //   - R3 (recovery phase order): within one recovery session
 //     (KindRecoveryStart), phases are nondecreasing in thesis order.
 //   - R4 (quorum barrier, the replicated-log analogue of R1): once a
@@ -38,12 +39,28 @@ import (
 //     clears the replicated bit: a promoted backup or recovered node
 //     starts unreplicated until a replicator speaks again.
 //
+// Rule sets. The caller knows what kind of stream it feeds and picks
+// the constructor accordingly:
+//
+//   - NewChecker (serial: R1–R4) is for streams in which one committer
+//     runs at a time: every crashtest sweep and soak, the obs/scenario
+//     goldens, the replog unit fixtures.
+//   - NewConcurrentChecker (R1, R3, R4 and R2's bracket balance, but
+//     not R2's force-inside-crit check) is for streams in which several
+//     committers of one guardian interleave — today only
+//     chaos/episode.go's merged multi-process trace, where committer A
+//     appending inside its bracket while committer B leads a force
+//     round outside its own is legal and would be flagged. For
+//     concurrent code R2 is enforced statically instead, by the
+//     lockdiscipline analyzer's rule 4 (cmd/roslint).
+//
 // A Checker may forward the stream to a next Tracer (e.g. a Recorder),
 // so checking and recording compose in one pass.
 type Checker struct {
-	mu   sync.Mutex
-	next Tracer
-	seen uint64 // events observed, for violation messages
+	mu         sync.Mutex
+	next       Tracer
+	concurrent bool   // skip R2's force-inside-crit check
+	seen       uint64 // events observed, for violation messages
 
 	state map[uint64]*gstate // per-guardian rule state
 	viol  []string
@@ -64,9 +81,19 @@ type gstate struct {
 	violations int
 }
 
-// NewChecker returns a Checker forwarding to next (nil for none).
+// NewChecker returns a serial-schedule Checker (every rule) forwarding
+// to next (nil for none).
 func NewChecker(next Tracer) *Checker {
 	return &Checker{next: next, state: make(map[uint64]*gstate)}
+}
+
+// NewConcurrentChecker returns a Checker for a stream that interleaves
+// several committers of one guardian: as NewChecker, minus R2's
+// force-inside-crit check (see "Rule sets" on Checker).
+func NewConcurrentChecker(next Tracer) *Checker {
+	c := NewChecker(next)
+	c.concurrent = true
+	return c
 }
 
 func (c *Checker) g(gid uint64) *gstate {
@@ -114,7 +141,7 @@ func (c *Checker) Emit(e Event) {
 
 	case KindForceStart, KindForceWait:
 		s := c.g(e.Gid)
-		if s.crit > 0 {
+		if s.crit > 0 && !c.concurrent {
 			c.violate(s, "event %d: R2 lock discipline: %v for gid %d inside a writer critical section (depth %d)",
 				n, e.Kind, e.Gid, s.crit)
 		}

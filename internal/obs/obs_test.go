@@ -255,6 +255,35 @@ func TestCheckerR2LockDiscipline(t *testing.T) {
 	}
 }
 
+// TestCheckerConcurrentMode: committer A sits inside its crit bracket
+// while committer B leads a force round. The events carry no actor, so a
+// serial checker must reject the stream and a concurrent one accept it.
+func TestCheckerConcurrentMode(t *testing.T) {
+	interleaved := []Event{
+		{Kind: KindLogOpen, Gid: 1, Durable: 0},
+		{Kind: KindCritEnter, Gid: 1},  // A
+		{Kind: KindForceStart, Gid: 1}, // B
+		{Kind: KindForceDone, Gid: 1, Durable: 50, OK: true},
+		{Kind: KindCritExit, Gid: 1}, // A
+	}
+	if err := checkerOn(interleaved...).Err(); err == nil || !strings.Contains(err.Error(), "R2") {
+		t.Fatalf("serial mode accepted a force inside another actor's crit: %v", err)
+	}
+	c := NewConcurrentChecker(nil)
+	for _, e := range interleaved {
+		c.Emit(e)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("concurrent mode flagged a legal two-actor interleaving: %v", err)
+	}
+	// Bracket balance is actor-independent and stays checked.
+	c = NewConcurrentChecker(nil)
+	c.Emit(Event{Kind: KindCritExit, Gid: 1})
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "R2") {
+		t.Fatalf("concurrent mode dropped the unmatched crit.exit check: %v", err)
+	}
+}
+
 func TestCheckerR3RecoveryOrder(t *testing.T) {
 	c := checkerOn(Event{Kind: KindRecoveryPhase, Gid: 1, Code: uint8(PhaseScan)})
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "R3") {
