@@ -10,7 +10,7 @@ GO ?= go
 RACE ?=
 SOAKFLAGS := $(GOFLAGS) $(if $(RACE),-race)
 
-.PHONY: all build test race cover bench bench-save fuzz lint soak chaos examples tables figures clean
+.PHONY: all build test race cover bench fuzz lint soak chaos examples tables figures clean
 
 all: lint build test
 
@@ -40,21 +40,6 @@ cover:
 bench:
 	$(GO) test -bench . -benchmem -benchtime 50x .
 	$(GO) test -bench . -benchtime 100x ./internal/stablelog/ ./internal/value/
-
-# Regenerate the committed outputs (test_output.txt, bench_output.txt,
-# BENCH_commit.json — the machine-readable E11 group-commit rows —
-# BENCH_server.json — the E12 served-throughput curve —
-# BENCH_rep.json — the E13 replication cost and failover rows —
-# BENCH_shard.json — the E14 shard-scaling and cross-shard 2PC rows —
-# and BENCH_read.json — the E16 index-vs-action-path read rows).
-bench-save:
-	$(GO) test ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
-	$(GO) run ./cmd/rosbench -experiment e11 -trace -commitjson BENCH_commit.json
-	$(GO) run ./cmd/rosbench -experiment e12 -serverjson BENCH_server.json
-	$(GO) run ./cmd/rosbench -experiment e13 -repjson BENCH_rep.json
-	$(GO) run ./cmd/rosbench -experiment e14 -trace -shardjson BENCH_shard.json
-	$(GO) run ./cmd/rosbench -experiment e16 -readjson BENCH_read.json
 
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzUnflatten -fuzztime 30s ./internal/value/
@@ -93,7 +78,8 @@ examples:
 	$(GO) run ./examples/directory
 	rm -rf /tmp/ros-example-data && $(GO) run ./examples/persistent /tmp/ros-example-data
 
-# The experiment tables of EXPERIMENTS.md.
+# The experiment tables of EXPERIMENTS.md: E1–E6, the thesis's
+# in-process comparison; the served path is measured by `go run ./bench`.
 tables:
 	$(GO) run ./cmd/rosbench
 
@@ -102,4 +88,4 @@ figures:
 	$(GO) run ./cmd/roslog -figure all
 
 clean:
-	rm -rf ros-data
+	rm -rf ros-data .bench_build bench/out

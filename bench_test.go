@@ -9,16 +9,13 @@ package ros
 //	E4  early prepare shortens the prepare phase          (§4.4)
 //	E5  snapshot ∝ live set, compaction ∝ whole log       (§5.3)
 //	E6  housekeeping bounds recovery cost                 (ch. 5)
-//	E11 group commit shares forces across committers      (§1.2, §4.1)
 //
 // The absolute numbers are simulation times; the claims are about the
 // relative shapes, which EXPERIMENTS.md records.
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/guardian"
@@ -301,71 +298,6 @@ func BenchmarkTwoPhaseCommit(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- E11: group commit — forces shared across concurrent committers --------
-
-// groupCommitWriteDelay is the simulated per-block device latency under
-// which E11 runs. The default MemDevice write is a memcpy, so forces
-// cost nothing and committers never overlap inside one; a realistic
-// latency restores the economics the thesis assumes (§1.2: forces are
-// the write-cost measure).
-const groupCommitWriteDelay = 50 * time.Microsecond
-
-// BenchmarkGroupCommit measures commit throughput and forces per commit
-// as the number of concurrent committers grows. Each worker commits
-// actions on its own counter — no lock contention — so any force
-// sharing comes purely from the log's force scheduler. Serially a local
-// commit is four force waits (prepared, committing, committed, done);
-// group commit drives forces/commit below 1 once enough committers
-// overlap.
-func BenchmarkGroupCommit(b *testing.B) {
-	for _, backend := range []core.Backend{core.BackendSimple, core.BackendHybrid} {
-		for _, workers := range []int{1, 2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", backend, workers), func(b *testing.B) {
-				g, counters := buildGuardian(b, backend, workers)
-				g.Volume().SetWriteDelay(groupCommitWriteDelay)
-				forces0 := g.RS().Forces()
-				bytes0 := g.RS().LogBytes()
-				errs := make([]error, workers)
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					w := w
-					n := b.N / workers
-					if w < b.N%workers {
-						n++
-					}
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := 0; i < n; i++ {
-							a := g.Begin()
-							if err := a.Update(counters[w], func(v Value) Value {
-								return Int(int64(v.(Int)) + 1)
-							}); err != nil {
-								errs[w] = err
-								return
-							}
-							if err := a.Commit(); err != nil {
-								errs[w] = err
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(g.RS().Forces()-forces0)/float64(b.N), "forces/commit")
-				b.ReportMetric(float64(g.RS().LogBytes()-bytes0)/float64(b.N), "logB/commit")
-			})
-		}
 	}
 }
 

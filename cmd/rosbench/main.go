@@ -1,63 +1,36 @@
 // Command rosbench regenerates the reproduction's experiment tables
-// (see DESIGN.md's experiment index and EXPERIMENTS.md): the write-cost
-// and recovery-cost comparison of the three stable-storage
-// organizations (E1/E2/E3), the early-prepare effect (E4), the
-// compaction-vs-snapshot comparison (E5), the effect of housekeeping on
-// recovery (E6), the group-commit force-sharing curve (E11), the
-// served-guardian throughput scaling curve over loopback TCP (E12), the
-// replication cost and failover-time comparison (E13), the sharded
-// keyspace's disjoint-key scaling curve plus cross-shard two-phase
-// commit overhead (E14), and the read-path comparison of the
-// live-version index against the action-path baseline, with and
-// without pipelined wire batching and under a mixed read/write load at
-// zipfian key skew (E16).
+// E1–E6 (see DESIGN.md's experiment index and EXPERIMENTS.md): the
+// thesis's own in-process comparison of the three stable-storage
+// organizations — write cost (E1), recovery cost (E2) and entries
+// examined (E3) — plus the early-prepare effect (E4), compaction
+// against snapshot (E5) and the effect of housekeeping on recovery
+// (E6). All of it runs in-process on the memory device: the count
+// columns (log bytes, entries read, objects copied) are
+// machine-independent, the µs columns are this host's. The served
+// path — commits, reads and restarts through the client, wire, server
+// and a real device — is measured by ./bench and nowhere else.
 //
 // Usage:
 //
-//	rosbench [-experiment all|e1|e2|e3|e4|e5|e6|e11|e12|e13|e14|e16] [-quick]
-//	         [-commitjson FILE] [-serverjson FILE] [-repjson FILE]
-//	         [-shardjson FILE] [-readjson FILE]
+//	rosbench [-experiment all|e1|e2|e3|e4|e5|e6] [-quick]
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
-	"net"
 	"os"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/guardian"
-	"repro/internal/ids"
-	"repro/internal/netsim"
 	"repro/internal/object"
-	"repro/internal/obs"
-	"repro/internal/replog"
-	"repro/internal/server"
-	"repro/internal/shard"
-	"repro/internal/stablelog"
-	"repro/internal/twopc"
 	"repro/internal/value"
 )
 
 var (
-	experiment = flag.String("experiment", "all", "which experiment to run: all, e1..e6, e11, e12, e13, e14, e16")
+	experiment = flag.String("experiment", "all", "which experiment to run: all, e1..e6")
 	quick      = flag.Bool("quick", false, "smaller workloads for a fast smoke run")
-	commitJSON = flag.String("commitjson", "", "write the E11 rows as JSON to this file (e.g. BENCH_commit.json)")
-	serverJSON = flag.String("serverjson", "", "write the E12 rows as JSON to this file (e.g. BENCH_server.json)")
-	repJSON    = flag.String("repjson", "", "write the E13 rows as JSON to this file (e.g. BENCH_rep.json)")
-	shardJSON  = flag.String("shardjson", "", "write the E14 rows as JSON to this file (e.g. BENCH_shard.json)")
-	readJSON   = flag.String("readjson", "", "write the E16 rows as JSON to this file (e.g. BENCH_read.json)")
-	trace      = flag.Bool("trace", false, "derive the E11/E14 per-commit numbers from the event stream and cross-check them against the counters")
 )
 
 func main() {
@@ -73,11 +46,6 @@ func main() {
 	run("e4", e4EarlyPrepare)
 	run("e5", e5Housekeeping)
 	run("e6", e6RecoveryAfterHousekeeping)
-	run("e11", e11GroupCommit)
-	run("e12", e12ServerThroughput)
-	run("e13", e13Replication)
-	run("e14", e14ShardScaling)
-	run("e16", e16ReadPath)
 }
 
 func backends() []core.Backend {
@@ -263,968 +231,6 @@ func e5Housekeeping() {
 	}
 	w.Flush()
 	fmt.Println()
-}
-
-// commitRow is one E11 measurement, serialized to -commitjson. With
-// -trace the forces/bytes numbers come from the event stream (an
-// obs.Stats tracer) rather than the storage counters; the two are
-// cross-checked against each other first, so the JSON is the same
-// either way apart from the source field.
-type commitRow struct {
-	Organization    string  `json:"organization"`
-	Goroutines      int     `json:"goroutines"`
-	Commits         int     `json:"commits"`
-	NsPerCommit     float64 `json:"ns_per_commit"`
-	CommitsPerSec   float64 `json:"commits_per_sec"`
-	ForcesPerCommit float64 `json:"forces_per_commit"`
-	BytesPerCommit  float64 `json:"bytes_per_commit"`
-	Source          string  `json:"source,omitempty"`
-}
-
-// e11WriteDelay mirrors the bench_test.go constant: the simulated
-// per-block device latency that makes a force expensive enough for
-// concurrent committers to overlap inside one.
-const e11WriteDelay = 50 * time.Microsecond
-
-func e11GroupCommit() {
-	fmt.Println("E11 — group commit: forces shared across concurrent committers (§1.2, §4.1)")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "organization\tgoroutines\tcommits/s\tforces/commit\tlog bytes/commit")
-	perWorker := 25
-	workerCounts := []int{1, 2, 4, 8, 16}
-	if *quick {
-		perWorker = 8
-		workerCounts = []int{1, 4, 8}
-	}
-	var rows []commitRow
-	for _, b := range []core.Backend{core.BackendSimple, core.BackendHybrid} {
-		for _, workers := range workerCounts {
-			g := commitHistory(b, workers, 0, 0)
-			g.Volume().SetWriteDelay(e11WriteDelay)
-			var st *obs.Stats
-			if *trace {
-				st = new(obs.Stats)
-				g.SetTracer(st)
-			}
-			forces0 := g.RS().Forces()
-			bytes0 := g.RS().LogBytes()
-			commits := workers * perWorker
-			errs := make([]error, workers)
-			start := time.Now()
-			var wg sync.WaitGroup
-			for id := 0; id < workers; id++ {
-				id := id
-				o, ok := g.VarAtomic(fmt.Sprintf("c%d", id))
-				if !ok {
-					die(fmt.Errorf("counter c%d missing", id))
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < perWorker; i++ {
-						a := g.Begin()
-						if err := a.Update(o, func(v value.Value) value.Value {
-							return value.Int(int64(v.(value.Int)) + 1)
-						}); err != nil {
-							errs[id] = err
-							return
-						}
-						if err := a.Commit(); err != nil {
-							errs[id] = err
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			el := time.Since(start)
-			for _, err := range errs {
-				die(err)
-			}
-			forces := uint64(g.RS().Forces() - forces0)
-			bytes := g.RS().LogBytes() - bytes0
-			source := "counters"
-			if st != nil {
-				// The event stream must agree exactly with the storage
-				// counters; a divergence means a layer emits events it
-				// doesn't count (or vice versa) and the trace-derived
-				// experiment numbers can't be trusted.
-				tf, tb := st.Count(obs.KindForceDone), st.AppendedBytes()
-				if tf != forces || tb != bytes {
-					die(fmt.Errorf("e11 %v/%d: trace disagrees with counters: forces %d vs %d, bytes %d vs %d",
-						b, workers, tf, forces, tb, bytes))
-				}
-				forces, bytes, source = tf, tb, "trace"
-			}
-			row := commitRow{
-				Organization:    b.String(),
-				Goroutines:      workers,
-				Commits:         commits,
-				NsPerCommit:     float64(el.Nanoseconds()) / float64(commits),
-				CommitsPerSec:   float64(commits) / el.Seconds(),
-				ForcesPerCommit: float64(forces) / float64(commits),
-				BytesPerCommit:  float64(bytes) / float64(commits),
-				Source:          source,
-			}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%v\t%d\t%.0f\t%.3f\t%.0f\n",
-				b, workers, row.CommitsPerSec, row.ForcesPerCommit, row.BytesPerCommit)
-		}
-	}
-	w.Flush()
-	fmt.Println()
-	if *commitJSON != "" {
-		out, err := json.MarshalIndent(rows, "", "  ")
-		die(err)
-		die(os.WriteFile(*commitJSON, append(out, '\n'), 0o644))
-		fmt.Printf("wrote %s (%d rows)\n\n", *commitJSON, len(rows))
-	}
-}
-
-// serverRow is one E12 measurement, serialized to -serverjson.
-type serverRow struct {
-	Clients         int     `json:"clients"`
-	Commits         int     `json:"commits"`
-	Seconds         float64 `json:"seconds"`
-	CommitsPerSec   float64 `json:"commits_per_sec"`
-	P50Us           float64 `json:"p50_us"`
-	P99Us           float64 `json:"p99_us"`
-	ForcesPerCommit float64 `json:"forces_per_commit"`
-	Speedup         float64 `json:"speedup_vs_one_client"`
-}
-
-// e12WriteDelay is the simulated device latency behind the served
-// guardian's log. It is deliberately larger than e11's: every E12
-// commit also pays a wire round trip, so the force has to dominate for
-// the group-commit effect to be the thing measured.
-const e12WriteDelay = 200 * time.Microsecond
-
-// e12ServerThroughput measures a real rosd-style server over loopback
-// TCP: N concurrent clients each driving complete atomic increments of
-// their own counter. Throughput should scale superlinearly past the
-// single-client line because concurrent committers share log forces
-// (E11's effect, now visible through the serving layer).
-func e12ServerThroughput() {
-	fmt.Println("E12 — served-guardian throughput over loopback TCP (group commit on)")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "clients\tcommits\tcommits/s\tp50 µs\tp99 µs\tforces/commit\tspeedup")
-	perClient := 300
-	clientCounts := []int{1, 2, 4, 8, 16}
-	if *quick {
-		perClient = 40
-		clientCounts = []int{1, 4}
-	}
-	var rows []serverRow
-	for _, clients := range clientCounts {
-		row := e12Run(clients, perClient)
-		if len(rows) > 0 {
-			row.Speedup = row.CommitsPerSec / rows[0].CommitsPerSec
-		} else {
-			row.Speedup = 1
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%d\t%d\t%.0f\t%.0f\t%.0f\t%.3f\t%.2fx\n",
-			row.Clients, row.Commits, row.CommitsPerSec, row.P50Us, row.P99Us, row.ForcesPerCommit, row.Speedup)
-	}
-	w.Flush()
-	fmt.Println()
-	if *serverJSON != "" {
-		out, err := json.MarshalIndent(rows, "", "  ")
-		die(err)
-		die(os.WriteFile(*serverJSON, append(out, '\n'), 0o644))
-		fmt.Printf("wrote %s (%d rows)\n\n", *serverJSON, len(rows))
-	}
-}
-
-// e12Run measures one point on the curve: a fresh hybrid guardian
-// served over a fresh loopback listener, `clients` concurrent clients,
-// one counter each (so actions never conflict and every commit is a
-// separate top-level action).
-func e12Run(clients, perClient int) serverRow {
-	g := commitHistory(core.BackendHybrid, clients, 0, 0)
-	g.RegisterHandler("incr", func(sub *guardian.Sub, arg value.Value) (value.Value, error) {
-		o, ok := g.VarAtomic(fmt.Sprintf("c%d", int64(arg.(value.Int))))
-		if !ok {
-			return nil, fmt.Errorf("no such counter")
-		}
-		if err := sub.Update(o, func(v value.Value) value.Value {
-			return value.Int(int64(v.(value.Int)) + 1)
-		}); err != nil {
-			return nil, err
-		}
-		return sub.Read(o)
-	})
-	g.Volume().SetWriteDelay(e12WriteDelay)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	die(err)
-	s := server.New(g, server.Config{Workers: 2 * clients, MaxConns: 2 * clients})
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(ln) }()
-	addr := ln.Addr().String()
-
-	forces0 := g.RS().Forces()
-	commits := clients * perClient
-	lats := make([][]time.Duration, clients)
-	errs := make([]error, clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for id := 0; id < clients; id++ {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := client.New(addr, client.Options{PoolSize: 1})
-			//roslint:besteffort teardown after the measured ops all succeeded; nothing left to lose
-			defer c.Close()
-			lats[id] = make([]time.Duration, 0, perClient)
-			for i := 0; i < perClient; i++ {
-				opStart := time.Now()
-				if _, err := c.Invoke("incr", value.Int(id)); err != nil {
-					errs[id] = err
-					return
-				}
-				lats[id] = append(lats[id], time.Since(opStart))
-			}
-		}()
-	}
-	wg.Wait()
-	el := time.Since(start)
-	for _, err := range errs {
-		die(err)
-	}
-	forces := g.RS().Forces() - forces0
-
-	// Every acked increment must be in the committed state: each
-	// client's counter reads exactly perClient.
-	check := g.Begin()
-	for id := 0; id < clients; id++ {
-		o, _ := g.VarAtomic(fmt.Sprintf("c%d", id))
-		v, err := check.Read(o)
-		die(err)
-		if int(v.(value.Int)) != perClient {
-			die(fmt.Errorf("e12 %d clients: counter c%d = %v, want %d", clients, id, v, perClient))
-		}
-	}
-	die(check.Abort())
-	die(s.Close())
-	if err := <-serveDone; !errors.Is(err, server.ErrClosed) {
-		die(err)
-	}
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return serverRow{
-		Clients:         clients,
-		Commits:         commits,
-		Seconds:         el.Seconds(),
-		CommitsPerSec:   float64(commits) / el.Seconds(),
-		P50Us:           float64(all[len(all)/2].Microseconds()),
-		P99Us:           float64(all[len(all)*99/100].Microseconds()),
-		ForcesPerCommit: float64(forces) / float64(commits),
-	}
-}
-
-// repRow is one E13 measurement, serialized to -repjson.
-type repRow struct {
-	Mode          string  `json:"mode"`
-	Replicas      int     `json:"replicas"`
-	Quorum        int     `json:"quorum"`
-	Commits       int     `json:"commits"`
-	NsPerCommit   float64 `json:"ns_per_commit"`
-	CommitsPerSec float64 `json:"commits_per_sec"`
-	// FailoverUs is the time to bring a recovered guardian back up after
-	// the history: a crash-restart on the single device, a backup
-	// promotion (takeover recovery included) when replicated.
-	FailoverUs float64 `json:"failover_us"`
-}
-
-// e13WriteDelay is the simulated per-block device latency for E13; the
-// same delay applies to the primary's device and every backup's, so the
-// replicated rows pay the honest cost of the extra durable copies.
-const e13WriteDelay = 50 * time.Microsecond
-
-// e13Replication compares commit latency and failover time across
-// replication modes: a single device (failover = crash-restart
-// recovery), a 2-of-3 quorum (the commit waits for the faster backup),
-// and a 3-of-3 all-ack round. Replication runs over the in-process
-// deterministic transport — the wire costs are E12's subject; here the
-// device and round structure are what's measured.
-func e13Replication() {
-	fmt.Println("E13 — replicated forces: commit cost and failover time vs a single device")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "mode\treplicas\tquorum\tcommits/s\tµs/commit\tfailover µs")
-	commits := 300
-	if *quick {
-		commits = 60
-	}
-	modes := []struct {
-		name              string
-		replicas, quorumN int
-	}{
-		{"single-device", 0, 0},
-		{"replicated", 2, 2},
-		{"replicated-all", 2, 3},
-	}
-	var rows []repRow
-	for _, m := range modes {
-		row := e13Run(m.name, m.replicas, m.quorumN, commits)
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.0f\t%.1f\t%.0f\n",
-			row.Mode, row.Replicas, row.Quorum, row.CommitsPerSec, row.NsPerCommit/1e3, row.FailoverUs)
-	}
-	w.Flush()
-	fmt.Println()
-	if *repJSON != "" {
-		out, err := json.MarshalIndent(rows, "", "  ")
-		die(err)
-		die(os.WriteFile(*repJSON, append(out, '\n'), 0o644))
-		fmt.Printf("wrote %s (%d rows)\n\n", *repJSON, len(rows))
-	}
-}
-
-// e13Run measures one replication mode: a serial commit loop on one
-// counter, then the mode's failover path, verifying the recovered
-// counter saw every commit.
-func e13Run(mode string, replicas, quorumN, commits int) repRow {
-	g := commitHistory(core.BackendHybrid, 1, 0, 0)
-	g.Volume().SetWriteDelay(e13WriteDelay)
-	var bks []*replog.Backup
-	if replicas > 0 {
-		net := netsim.New()
-		reps := make([]replog.Replica, 0, replicas)
-		for i := 0; i < replicas; i++ {
-			bvol := stablelog.NewMemVolume(512)
-			bvol.SetWriteDelay(e13WriteDelay)
-			b, err := replog.NewBackup(replog.BackupConfig{
-				ID: ids.GuardianID(101 + i), Primary: 1, Backend: core.BackendHybrid, Volume: bvol,
-			})
-			die(err)
-			bks = append(bks, b)
-			reps = append(reps, b)
-		}
-		p, err := replog.NewPrimary(replog.Config{
-			Self: 1, Site: g.Site(), Quorum: quorumN, Net: net, Replicas: reps,
-		})
-		die(err)
-		g.SetReplicator(p)
-	}
-
-	o, ok := g.VarAtomic("c0")
-	if !ok {
-		die(fmt.Errorf("e13: counter c0 missing"))
-	}
-	start := time.Now()
-	for i := 0; i < commits; i++ {
-		a := g.Begin()
-		die(a.Update(o, func(v value.Value) value.Value {
-			return value.Int(int64(v.(value.Int)) + 1)
-		}))
-		die(a.Commit())
-	}
-	el := time.Since(start)
-
-	var ng *guardian.Guardian
-	foStart := time.Now()
-	if replicas > 0 {
-		var err error
-		ng, err = bks[0].Promote()
-		die(err)
-	} else {
-		g.Crash()
-		var err error
-		ng, err = guardian.Restart(g)
-		die(err)
-	}
-	fo := time.Since(foStart)
-	no, ok := ng.VarAtomic("c0")
-	if !ok {
-		die(fmt.Errorf("e13 %s: counter lost across failover", mode))
-	}
-	if got := int(no.Base().(value.Int)); got != commits {
-		die(fmt.Errorf("e13 %s: recovered counter = %d, want %d", mode, got, commits))
-	}
-	return repRow{
-		Mode:          mode,
-		Replicas:      replicas,
-		Quorum:        quorumN,
-		Commits:       commits,
-		NsPerCommit:   float64(el.Nanoseconds()) / float64(commits),
-		CommitsPerSec: float64(commits) / el.Seconds(),
-		FailoverUs:    float64(fo.Microseconds()),
-	}
-}
-
-// shardRow is one E14 measurement, serialized to -shardjson. Disjoint
-// rows vary the shard count under a disjoint-key workload; cross-shard
-// rows hold the cluster at the largest shard count and vary how many
-// shards one atomic action spans.
-type shardRow struct {
-	Mode            string  `json:"mode"` // "disjoint" or "cross-shard"
-	Shards          int     `json:"shards"`
-	Span            int     `json:"span"`
-	Clients         int     `json:"clients"`
-	Commits         int     `json:"commits"`
-	Seconds         float64 `json:"seconds"`
-	CommitsPerSec   float64 `json:"commits_per_sec"`
-	NsPerCommit     float64 `json:"ns_per_commit"`
-	ForcesPerCommit float64 `json:"forces_per_commit"`
-	Speedup         float64 `json:"speedup_vs_one_shard,omitempty"`
-	Source          string  `json:"source,omitempty"`
-}
-
-// e14WriteDelay is the simulated per-block device latency behind every
-// shard guardian's log; with e14ValueBytes-sized values each commit
-// keeps its shard's device busy for hundreds of microseconds, so
-// throughput is device-bound and adding shards adds devices.
-const e14WriteDelay = 50 * time.Microsecond
-
-// e14ValueBytes is the payload size of the disjoint-key workload.
-const e14ValueBytes = 4096
-
-// e14ShardScaling measures the sharded deployment: disjoint-key commit
-// throughput as the shard count grows (each shard is an independent
-// guardian with its own device — the LogBase-style near-linear curve),
-// then the cross-shard 2PC overhead as one action spans more shards.
-func e14ShardScaling() {
-	fmt.Println("E14 — sharded keyspace: disjoint-key scaling and cross-shard 2PC overhead")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "mode\tshards\tspan\tclients\tcommits/s\tµs/commit\tforces/commit\tspeedup")
-	perClient := 40
-	crossTxns := 60
-	if *quick {
-		perClient = 8
-		crossTxns = 12
-	}
-	var rows []shardRow
-	shardCounts := []int{1, 2, 4}
-	for _, s := range shardCounts {
-		row := e14Disjoint(s, perClient)
-		if len(rows) == 0 {
-			row.Speedup = 1
-		} else {
-			row.Speedup = row.CommitsPerSec / rows[0].CommitsPerSec
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.0f\t%.0f\t%.3f\t%.2fx\n",
-			row.Mode, row.Shards, row.Span, row.Clients, row.CommitsPerSec,
-			row.NsPerCommit/1e3, row.ForcesPerCommit, row.Speedup)
-	}
-	maxShards := shardCounts[len(shardCounts)-1]
-	for _, span := range []int{1, 2, 4} {
-		row := e14Cross(maxShards, span, crossTxns)
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.0f\t%.0f\t%.3f\t\n",
-			row.Mode, row.Shards, row.Span, row.Clients, row.CommitsPerSec,
-			row.NsPerCommit/1e3, row.ForcesPerCommit)
-	}
-	w.Flush()
-	if last := rows[len(shardCounts)-1]; last.Speedup < 3 {
-		fmt.Printf("WARNING: %d-shard disjoint speedup %.2fx below the 3x acceptance line\n",
-			last.Shards, last.Speedup)
-	}
-	fmt.Println()
-	if *shardJSON != "" {
-		out, err := json.MarshalIndent(rows, "", "  ")
-		die(err)
-		die(os.WriteFile(*shardJSON, append(out, '\n'), 0o644))
-		fmt.Printf("wrote %s (%d rows)\n\n", *shardJSON, len(rows))
-	}
-}
-
-// e14Cluster is one server hosting n shard guardians over loopback
-// TCP, each guardian on its own delayed device.
-type e14Cluster struct {
-	srv   *server.Server
-	addr  string
-	gs    []*guardian.Guardian
-	table shard.Table
-	done  chan error
-}
-
-func e14Start(shards int) *e14Cluster {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	die(err)
-	cl := &e14Cluster{addr: ln.Addr().String(), done: make(chan error, 1)}
-	cl.srv = server.New(nil, server.Config{Workers: 4 * shards, MaxConns: 8 * shards})
-	cl.table = shard.Table{Version: 1, Kind: shard.KindHash}
-	for i := 1; i <= shards; i++ {
-		g, err := guardian.New(ids.GuardianID(i), guardian.WithBackend(core.BackendHybrid))
-		die(err)
-		e14Register(g)
-		g.Volume().SetWriteDelay(e14WriteDelay)
-		cl.srv.AddShard(uint32(i), g)
-		cl.gs = append(cl.gs, g)
-		cl.table.Shards = append(cl.table.Shards, shard.Shard{ID: shard.ID(i), Addr: cl.addr})
-	}
-	die(cl.srv.InstallTable(cl.table))
-	go func() { cl.done <- cl.srv.Serve(ln) }()
-	return cl
-}
-
-func (cl *e14Cluster) stop() {
-	die(cl.srv.Close())
-	if err := <-cl.done; !errors.Is(err, server.ErrClosed) {
-		die(err)
-	}
-}
-
-// counters sums forces and appended log bytes across every shard's
-// guardian.
-func (cl *e14Cluster) counters() (forces uint64, bytes uint64) {
-	for _, g := range cl.gs {
-		forces += uint64(g.RS().Forces())
-		bytes += g.RS().LogBytes()
-	}
-	return forces, bytes
-}
-
-// keysFor finds perShard keys owned by each shard under the cluster's
-// hash table (the table ignores addresses, so ownership is stable).
-func (cl *e14Cluster) keysFor(perShard int) map[shard.ID][]string {
-	need := len(cl.table.Shards) * perShard
-	out := make(map[shard.ID][]string, len(cl.table.Shards))
-	for i, total := 0, 0; total < need; i++ {
-		k := fmt.Sprintf("key%06d", i)
-		id := cl.table.Owner(k).ID
-		if len(out[id]) < perShard {
-			out[id] = append(out[id], k)
-			total++
-		}
-	}
-	return out
-}
-
-// e14Register installs the benchmark handlers: put stores a value
-// under a key (creating the stable variable on first use), incr adds a
-// delta to an integer key.
-func e14Register(g *guardian.Guardian) {
-	keyObj := func(sub *guardian.Sub, key string, init value.Value) (*object.Atomic, error) {
-		if o, ok := g.VarAtomic(key); ok {
-			return o, nil
-		}
-		o, err := sub.NewAtomic(init)
-		if err != nil {
-			return nil, err
-		}
-		if err := sub.SetVar(key, o); err != nil {
-			return nil, err
-		}
-		return o, nil
-	}
-	g.RegisterHandler("put", func(sub *guardian.Sub, arg value.Value) (value.Value, error) {
-		l, ok := arg.(*value.List)
-		if !ok || len(l.Elems) != 2 {
-			return nil, fmt.Errorf("put wants List[key, value]")
-		}
-		o, err := keyObj(sub, string(l.Elems[0].(value.Str)), value.Int(0))
-		if err != nil {
-			return nil, err
-		}
-		if err := sub.Set(o, l.Elems[1]); err != nil {
-			return nil, err
-		}
-		return value.Int(1), nil
-	})
-	g.RegisterHandler("incr", func(sub *guardian.Sub, arg value.Value) (value.Value, error) {
-		l, ok := arg.(*value.List)
-		if !ok || len(l.Elems) != 2 {
-			return nil, fmt.Errorf("incr wants List[key, delta]")
-		}
-		o, err := keyObj(sub, string(l.Elems[0].(value.Str)), value.Int(0))
-		if err != nil {
-			return nil, err
-		}
-		if err := sub.Update(o, func(v value.Value) value.Value {
-			return value.Int(int64(v.(value.Int)) + int64(l.Elems[1].(value.Int)))
-		}); err != nil {
-			return nil, err
-		}
-		return sub.Read(o)
-	})
-}
-
-// e14Disjoint measures one point of the scaling curve: two routed
-// clients per shard, each repeatedly storing an e14ValueBytes payload
-// under a key its shard owns — every commit a complete single-shard
-// atomic action, shards never contending for a device.
-func e14Disjoint(shards, perClient int) shardRow {
-	const clientsPerShard = 2
-	cl := e14Start(shards)
-	var stats []*obs.Stats
-	if *trace {
-		for _, g := range cl.gs {
-			st := new(obs.Stats)
-			g.SetTracer(st)
-			stats = append(stats, st)
-		}
-	}
-	keys := cl.keysFor(clientsPerShard)
-	payload := value.Str(make([]byte, e14ValueBytes))
-	forces0, bytes0 := cl.counters()
-	clients := shards * clientsPerShard
-	commits := clients * perClient
-	errs := make([]error, clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	idx := 0
-	for _, sh := range cl.table.Shards {
-		for j := 0; j < clientsPerShard; j++ {
-			key := keys[sh.ID][j]
-			i := idx
-			idx++
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r := client.NewRouted([]string{cl.addr}, client.Options{PoolSize: 1})
-				//roslint:besteffort teardown after the measured ops all succeeded; nothing left to lose
-				defer r.Close()
-				for n := 0; n < perClient; n++ {
-					if _, err := r.Invoke(key, "put", value.NewList(value.Str(key), payload)); err != nil {
-						errs[i] = err
-						return
-					}
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	el := time.Since(start)
-	for _, err := range errs {
-		die(err)
-	}
-	forces1, bytes1 := cl.counters()
-	forces, bytes := forces1-forces0, bytes1-bytes0
-	source := "counters"
-	if stats != nil {
-		// Trace-derived cross-check, E11's rule extended shard-wise:
-		// the union of the shard guardians' event streams must agree
-		// with the sum of their storage counters.
-		var tf, tb uint64
-		for _, st := range stats {
-			tf += st.Count(obs.KindForceDone)
-			tb += st.AppendedBytes()
-		}
-		if tf != forces || tb != bytes {
-			die(fmt.Errorf("e14 %d shards: trace disagrees with counters: forces %d vs %d, bytes %d vs %d",
-				shards, tf, forces, tb, bytes))
-		}
-		forces, source = tf, "trace"
-	}
-	cl.stop()
-	return shardRow{
-		Mode: "disjoint", Shards: shards, Span: 1, Clients: clients, Commits: commits,
-		Seconds:         el.Seconds(),
-		CommitsPerSec:   float64(commits) / el.Seconds(),
-		NsPerCommit:     float64(el.Nanoseconds()) / float64(commits),
-		ForcesPerCommit: float64(forces) / float64(commits),
-		Source:          source,
-	}
-}
-
-// e14Cross measures the cross-shard overhead curve: serial atomic
-// actions each spanning `span` distinct shards (span 1 uses the same
-// client-driven 2PC machinery, so the added legs are the only
-// variable). The starting shard rotates so every guardian takes turns
-// coordinating.
-func e14Cross(shards, span, txns int) shardRow {
-	cl := e14Start(shards)
-	keys := cl.keysFor(1)
-	r := client.NewRouted([]string{cl.addr}, client.Options{PoolSize: 2})
-	forces0, _ := cl.counters()
-	start := time.Now()
-	for i := 0; i < txns; i++ {
-		legs := make([]string, 0, span)
-		for j := 0; j < span; j++ {
-			sh := cl.table.Shards[(i+j)%len(cl.table.Shards)]
-			legs = append(legs, keys[sh.ID][0])
-		}
-		t, err := r.Begin(legs[0])
-		die(err)
-		for _, k := range legs {
-			_, err := t.Invoke(k, "incr", value.NewList(value.Str(k), value.Int(1)))
-			die(err)
-		}
-		res, err := t.Commit()
-		die(err)
-		if res.Outcome != twopc.OutcomeCommitted {
-			die(fmt.Errorf("e14 span %d txn %d: outcome %v", span, i, res.Outcome))
-		}
-	}
-	el := time.Since(start)
-	forces1, _ := cl.counters()
-	//roslint:besteffort teardown after the measured ops all succeeded; nothing left to lose
-	r.Close()
-	cl.stop()
-	return shardRow{
-		Mode: "cross-shard", Shards: shards, Span: span, Clients: 1, Commits: txns,
-		Seconds:         el.Seconds(),
-		CommitsPerSec:   float64(txns) / el.Seconds(),
-		NsPerCommit:     float64(el.Nanoseconds()) / float64(txns),
-		ForcesPerCommit: float64(forces1-forces0) / float64(txns),
-		Source:          "counters",
-	}
-}
-
-// readRow is one E16 measurement, serialized to -readjson. IdxHits /
-// IdxMisses / Forces are the row's own deltas, cross-checked against
-// the guardian's event stream (an obs.Stats tracer) before reporting —
-// an index-served row must show hits == ops, zero misses, and zero
-// forces, proving the hot read path touched neither locks nor the
-// device.
-type readRow struct {
-	Mode      string  `json:"mode"`
-	Clients   int     `json:"clients"`
-	Batch     int     `json:"batch"`
-	Ops       int     `json:"ops"`
-	Seconds   float64 `json:"seconds"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Us     float64 `json:"p50_us"`
-	P99Us     float64 `json:"p99_us"`
-	IdxHits   uint64  `json:"idx_hits"`
-	IdxMisses uint64  `json:"idx_misses"`
-	Forces    uint64  `json:"forces"`
-	Speedup   float64 `json:"speedup,omitempty"`
-}
-
-const (
-	// e16WriteDelay matches e12: the simulated device latency writers
-	// pay per forced block, which is what the action-path reader gets
-	// stuck behind under write contention.
-	e16WriteDelay = 200 * time.Microsecond
-	e16Keys       = 64
-	e16PayloadLen = 256
-	// e16ZipfS skews the key choice so readers and writers pile onto
-	// the same hot keys — the regime where lock-free index reads and
-	// lock-taking action reads diverge.
-	e16ZipfS = 1.2
-)
-
-func e16Key(i uint64) string { return fmt.Sprintf("k%03d", i) }
-
-// e16Guardian builds a hybrid guardian with e16Keys payload-bearing
-// keys committed, the benchmark handlers registered, and the delayed
-// device installed.
-func e16Guardian() *guardian.Guardian {
-	g, err := guardian.New(1, guardian.WithBackend(core.BackendHybrid))
-	die(err)
-	e14Register(g)
-	g.RegisterHandler("get", func(sub *guardian.Sub, arg value.Value) (value.Value, error) {
-		o, ok := g.VarAtomic(string(arg.(value.Str)))
-		if !ok {
-			return nil, fmt.Errorf("no such key %q", arg)
-		}
-		return sub.Read(o)
-	})
-	a := g.Begin()
-	payload := value.Str(make([]byte, e16PayloadLen))
-	for i := uint64(0); i < e16Keys; i++ {
-		o, err := a.NewAtomic(payload)
-		die(err)
-		die(a.SetVar(e16Key(i), o))
-	}
-	die(a.Commit())
-	g.Volume().SetWriteDelay(e16WriteDelay)
-	return g
-}
-
-// e16ReadPath compares the read paths at a fixed client count: the
-// action path (an invoked read-only "get" action — the baseline every
-// read paid before the index), the index-served OpGet path, the same
-// path with pipelined batches sharing one connection, and both paths
-// again under a mixed load where a quarter of the clients write to the
-// same zipfian-hot keys the readers read.
-func e16ReadPath() {
-	fmt.Println("E16 — memory-speed reads: live-version index vs the action path (zipfian keys)")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "mode\tclients\tbatch\tops/s\tp50 µs\tp99 µs\tidx hits\tidx misses\tforces\tspeedup")
-	const clients = 16
-	perClient := 400
-	if *quick {
-		perClient = 48
-	}
-	rows := []readRow{
-		e16Run("get-invoke", clients, perClient, 1, 0),
-		e16Run("get-idx", clients, perClient, 1, 0),
-		e16Run("get-idx-batch", clients, perClient, 16, 0),
-		e16Run("mixed-invoke", clients, perClient, 1, 4),
-		e16Run("mixed-idx", clients, perClient, 1, 4),
-	}
-	// Speedups are against the like-for-like baseline: pure-read rows
-	// against the action path, mixed rows against the mixed action
-	// path.
-	rows[0].Speedup = 1
-	rows[1].Speedup = rows[1].OpsPerSec / rows[0].OpsPerSec
-	rows[2].Speedup = rows[2].OpsPerSec / rows[0].OpsPerSec
-	rows[3].Speedup = 1
-	rows[4].Speedup = rows[4].OpsPerSec / rows[3].OpsPerSec
-	for _, row := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.0f\t%.0f\t%.0f\t%d\t%d\t%d\t%.2fx\n",
-			row.Mode, row.Clients, row.Batch, row.OpsPerSec, row.P50Us, row.P99Us,
-			row.IdxHits, row.IdxMisses, row.Forces, row.Speedup)
-	}
-	w.Flush()
-	fmt.Println()
-	if *readJSON != "" {
-		out, err := json.MarshalIndent(rows, "", "  ")
-		die(err)
-		die(os.WriteFile(*readJSON, append(out, '\n'), 0o644))
-		fmt.Printf("wrote %s (%d rows)\n\n", *readJSON, len(rows))
-	}
-}
-
-// e16Run measures one row: a fresh served guardian, `clients` total
-// connections of which `writers` continuously put payloads to zipfian
-// keys and the rest issue perClient reads each through the mode's
-// path. Readers' client-observed latencies are what the percentiles
-// summarize; batched rows amortize the batch round trip over its ops.
-func e16Run(mode string, clients, perClient, batch, writers int) readRow {
-	g := e16Guardian()
-	st := new(obs.Stats)
-	g.SetTracer(st)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	die(err)
-	s := server.New(g, server.Config{Workers: 2 * clients, MaxConns: 2*clients + 4})
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(ln) }()
-	addr := ln.Addr().String()
-
-	idx0, _ := g.IndexStats()
-	forces0 := uint64(g.RS().Forces())
-	hits0, misses0 := st.Count(obs.KindIdxHit), st.Count(obs.KindIdxMiss)
-
-	// Writers run until the readers finish; their puts commit through
-	// the delayed device holding hot keys' write locks across forces.
-	// Busy refusals under skew are part of the load, not a failure.
-	var stop atomic.Bool
-	var wwg sync.WaitGroup
-	werrs := make([]error, writers)
-	for id := 0; id < writers; id++ {
-		id := id
-		wwg.Add(1)
-		go func() {
-			defer wwg.Done()
-			c := client.New(addr, client.Options{PoolSize: 1})
-			//roslint:besteffort teardown of a load-generator client
-			defer c.Close()
-			zr := rand.New(rand.NewSource(int64(500 + id)))
-			z := rand.NewZipf(zr, e16ZipfS, 1, e16Keys-1)
-			payload := value.Str(make([]byte, e16PayloadLen))
-			for !stop.Load() {
-				key := e16Key(z.Uint64())
-				if _, err := c.Invoke("put", value.NewList(value.Str(key), payload)); err != nil && !errors.Is(err, client.ErrBusy) {
-					werrs[id] = err
-					return
-				}
-			}
-		}()
-	}
-
-	readers := clients - writers
-	ops := readers * perClient
-	lats := make([][]time.Duration, readers)
-	errs := make([]error, readers)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for id := 0; id < readers; id++ {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := client.New(addr, client.Options{PoolSize: 1})
-			//roslint:besteffort teardown after the measured ops completed
-			defer c.Close()
-			zr := rand.New(rand.NewSource(int64(1 + id)))
-			z := rand.NewZipf(zr, e16ZipfS, 1, e16Keys-1)
-			lats[id] = make([]time.Duration, 0, perClient)
-			for n := 0; n < perClient; n += batch {
-				opStart := time.Now()
-				switch {
-				case batch > 1:
-					keys := make([]string, batch)
-					for j := range keys {
-						keys[j] = e16Key(z.Uint64())
-					}
-					if _, err := c.GetBatch(keys); err != nil {
-						errs[id] = err
-						return
-					}
-				case strings.HasSuffix(mode, "invoke"):
-					key := e16Key(z.Uint64())
-					// A busy refusal under write contention is a real
-					// client-observed read outcome; its latency counts.
-					if _, err := c.Invoke("get", value.Str(key)); err != nil && !errors.Is(err, client.ErrBusy) {
-						errs[id] = err
-						return
-					}
-				default:
-					key := e16Key(z.Uint64())
-					if _, err := c.Get(key); err != nil {
-						errs[id] = err
-						return
-					}
-				}
-				lat := time.Since(opStart)
-				for j := 0; j < batch; j++ {
-					lats[id] = append(lats[id], lat/time.Duration(batch))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	el := time.Since(start)
-	stop.Store(true)
-	wwg.Wait()
-	for _, err := range append(errs, werrs...) {
-		die(err)
-	}
-	die(s.Close())
-	if err := <-serveDone; !errors.Is(err, server.ErrClosed) {
-		die(err)
-	}
-
-	idx1, ok := g.IndexStats()
-	if !ok {
-		die(fmt.Errorf("e16 %s: index disabled on the served guardian", mode))
-	}
-	hits, misses := idx1.Hits-idx0.Hits, idx1.Misses-idx0.Misses
-	forces := uint64(g.RS().Forces()) - forces0
-	// The event stream must agree with the index counters (E11's rule
-	// for the new subsystem), and an index-served row must have been
-	// served entirely from memory: every op a hit, no fallback, and —
-	// without writers — not a single log force anywhere in the phase.
-	if th, tm := st.Count(obs.KindIdxHit)-hits0, st.Count(obs.KindIdxMiss)-misses0; th != hits || tm != misses {
-		die(fmt.Errorf("e16 %s: trace disagrees with index counters: hits %d vs %d, misses %d vs %d",
-			mode, th, hits, tm, misses))
-	}
-	if strings.Contains(mode, "idx") {
-		if hits != uint64(ops) || misses != 0 {
-			die(fmt.Errorf("e16 %s: %d ops but %d hits / %d misses — the hot path fell back", mode, ops, hits, misses))
-		}
-		if writers == 0 && forces != 0 {
-			die(fmt.Errorf("e16 %s: %d log forces during a pure-read index phase", mode, forces))
-		}
-	}
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return readRow{
-		Mode: mode, Clients: clients, Batch: batch, Ops: ops,
-		Seconds:   el.Seconds(),
-		OpsPerSec: float64(ops) / el.Seconds(),
-		P50Us:     float64(all[len(all)/2].Microseconds()),
-		P99Us:     float64(all[len(all)*99/100].Microseconds()),
-		IdxHits:   hits,
-		IdxMisses: misses,
-		Forces:    forces,
-	}
 }
 
 func e6RecoveryAfterHousekeeping() {

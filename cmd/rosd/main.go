@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rosd [-addr 127.0.0.1:4146] [-id 1] [-backend hybrid]
-//	     [-workers 8] [-maxconns 64] [-noindex]
+//	     [-workers 8] [-maxconns 64]
 //	     [-trace] [-tracefile path]
 //	     [-data dir] [-datacap bytes] [-datasync]
 //	     [-role standalone|primary|backup] [-backups id=addr,...]
@@ -119,7 +119,6 @@ var (
 	datacap   = flag.Int64("datacap", 0, "per-guardian byte cap on the -data subdirectory (0: uncapped); growth past it fails like a full disk")
 	datasync  = flag.Bool("datasync", false, "fsync every stable-storage block write (off is sound for process-kill faults: the page cache survives SIGKILL)")
 	tracefile = flag.String("tracefile", "", "append the binary obs event stream to this file")
-	noindex   = flag.Bool("noindex", false, "disable the per-guardian live-version index (reads fall back to the action path; the E16 baseline)")
 )
 
 // dataBlockSize is the stable-device block size for -data volumes,
@@ -374,20 +373,16 @@ func dataVol(sub string) (*stablelog.FileVolume, error) {
 // directory with no completed site (first boot, or a crash before
 // creation finished) falls through to guardian.New on the same volume.
 func openOrNewGuardian(gid ids.GuardianID, b core.Backend, tr obs.Tracer) (*guardian.Guardian, error) {
-	var extra []guardian.Option
-	if *noindex {
-		extra = append(extra, guardian.WithoutIndex())
-	}
 	if *data == "" {
-		return guardian.New(gid, append([]guardian.Option{guardian.WithBackend(b), guardian.WithTracer(tr)}, extra...)...)
+		return guardian.New(gid, guardian.WithBackend(b), guardian.WithTracer(tr))
 	}
 	vol, err := dataVol(fmt.Sprintf("g%d", gid))
 	if err != nil {
 		return nil, err
 	}
-	g, err := guardian.Open(gid, vol, b, append([]guardian.Option{guardian.WithTracer(tr)}, extra...)...)
+	g, err := guardian.Open(gid, vol, b, guardian.WithTracer(tr))
 	if errors.Is(err, stablelog.ErrNoSite) {
-		g, err = guardian.New(gid, append([]guardian.Option{guardian.WithBackend(b), guardian.WithTracer(tr), guardian.WithVolume(vol)}, extra...)...)
+		g, err = guardian.New(gid, guardian.WithBackend(b), guardian.WithTracer(tr), guardian.WithVolume(vol))
 	}
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/value"
 )
 
@@ -35,9 +36,9 @@ func TestConcurrentCommitStress(t *testing.T) {
 			g := mustGuardian(t, 1, b)
 			// With the default zero-latency MemDevice a force is a
 			// memcpy and concurrent committers never overlap inside
-			// one, so there is nothing to coalesce. A modest simulated
-			// write latency restores the disk economics group commit
-			// exists for.
+			// one, so there is nothing to coalesce. A write delay holds
+			// each force open long enough for the others to ride it (it
+			// widens the window; nothing here is a measurement).
 			g.Volume().SetWriteDelay(50 * time.Microsecond)
 
 			// One committed action binds the shared counter and every
@@ -64,7 +65,12 @@ func TestConcurrentCommitStress(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			// Count the concurrent phase twice: by the storage counters
+			// and by the event stream. They must agree exactly.
+			st := new(obs.Stats)
+			g.SetTracer(st)
 			forcesBefore := g.RS().Forces()
+			bytesBefore := g.RS().LogBytes()
 			var wg sync.WaitGroup
 			errs := make([]error, workers)
 			for w := 0; w < workers; w++ {
@@ -151,6 +157,16 @@ func TestConcurrentCommitStress(t *testing.T) {
 			}
 			t.Logf("%d commits, %d forces (%.2f forces/commit)",
 				totalCommits, forces, float64(forces)/float64(totalCommits))
+
+			// A divergence means a layer emits events it does not count
+			// (or counts what it does not emit), and nothing derived from
+			// the trace could be trusted.
+			if tf := st.Count(obs.KindForceDone); tf != uint64(forces) {
+				t.Errorf("trace saw %d force.done events, counters %d forces", tf, forces)
+			}
+			if tb, cb := st.AppendedBytes(), g.RS().LogBytes()-bytesBefore; tb != cb {
+				t.Errorf("trace saw %d appended bytes, counters %d log bytes", tb, cb)
+			}
 
 			g.Crash()
 			g2, err := Restart(g)

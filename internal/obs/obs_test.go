@@ -266,20 +266,21 @@ func TestCheckerConcurrentMode(t *testing.T) {
 		{Kind: KindForceDone, Gid: 1, Durable: 50, OK: true},
 		{Kind: KindCritExit, Gid: 1}, // A
 	}
+	concurrentOn := func(events ...Event) error {
+		c := NewConcurrentChecker(nil)
+		for _, e := range events {
+			c.Emit(e)
+		}
+		return c.Err()
+	}
 	if err := checkerOn(interleaved...).Err(); err == nil || !strings.Contains(err.Error(), "R2") {
 		t.Fatalf("serial mode accepted a force inside another actor's crit: %v", err)
 	}
-	c := NewConcurrentChecker(nil)
-	for _, e := range interleaved {
-		c.Emit(e)
-	}
-	if err := c.Err(); err != nil {
+	if err := concurrentOn(interleaved...); err != nil {
 		t.Fatalf("concurrent mode flagged a legal two-actor interleaving: %v", err)
 	}
 	// Bracket balance is actor-independent and stays checked.
-	c = NewConcurrentChecker(nil)
-	c.Emit(Event{Kind: KindCritExit, Gid: 1})
-	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "R2") {
+	if err := concurrentOn(Event{Kind: KindCritExit, Gid: 1}); err == nil || !strings.Contains(err.Error(), "R2") {
 		t.Fatalf("concurrent mode dropped the unmatched crit.exit check: %v", err)
 	}
 }

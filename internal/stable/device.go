@@ -228,15 +228,15 @@ func (d *MemDevice) SetPlan(plan FaultPlan) {
 	d.plan = plan
 }
 
-// SetWriteDelay makes every subsequent block write take at least d of
-// wall-clock time, simulating the device latency that makes a log force
-// expensive. The default MemDevice write is a memcpy, so concurrent
-// committers never overlap inside a force and group commit has nothing
-// to coalesce; benchmarks set a realistic delay to recover the disk
-// economics the thesis assumes (§1.2: forces are the write-cost
-// measure). The delay changes only timing, never outcomes or write
-// counts, so the deterministic crash harnesses are unaffected (they
-// leave it zero).
+// SetWriteDelay makes every subsequent block write sleep for at least
+// delay. It is a test-only window widener: the default MemDevice write
+// is a memcpy, so concurrent committers never overlap inside a force,
+// and a test that needs them to (force coalescing, a drain landing on
+// in-flight commits) sets a delay to hold the window open. No
+// measurement may use it — it is a time.Sleep, whose floor was measured
+// at ≈1.1 ms for a 50 µs request; see bench/README.md.
+// The delay changes only timing, never outcomes or write counts, so the
+// deterministic crash harnesses are unaffected (they leave it zero).
 func (d *MemDevice) SetWriteDelay(delay time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

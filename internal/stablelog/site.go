@@ -104,10 +104,10 @@ func (v *MemVolume) SetFaultPlan(p stable.FaultPlan) {
 	v.plan = p
 }
 
-// SetWriteDelay applies a simulated per-block-write latency to every
-// device of the volume, existing and future (see
-// stable.MemDevice.SetWriteDelay). Benchmarks use it to model the disk
-// forces the thesis costs out; the crash harnesses leave it zero.
+// SetWriteDelay applies stable.MemDevice.SetWriteDelay to every device
+// of the volume, existing and future. Like it, a test-only window
+// widener; no measurement may use it — see bench/README.md. The crash
+// harnesses leave it zero.
 func (v *MemVolume) SetWriteDelay(d time.Duration) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
