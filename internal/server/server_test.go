@@ -425,6 +425,22 @@ func TestEventLifecycle(t *testing.T) {
 
 	c := dialRaw(t, addr)
 	c.mustOK(t, wire.Request{Op: wire.OpPing})
+	// The server emits rpc.reply once the response is on the wire, so
+	// the client can hold the reply first: wait for the event before
+	// draining, or the drain can overtake it in the trace.
+	replied := func() bool {
+		for _, e := range rec.Events() {
+			if e.Kind == obs.KindRPCReply {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); !replied(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("no rpc.reply event for an answered ping")
+		}
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

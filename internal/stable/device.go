@@ -138,7 +138,8 @@ func CrashAfter(n int) FaultPlan {
 // FaultPlan. Implementations must be safe for concurrent use.
 type Device interface {
 	// ReadBlock returns the contents of block i, or ErrBadBlock if the
-	// block is torn/decayed, or ErrCrashed if the node is down.
+	// block is torn/decayed, or ErrCrashed if the node is down. The
+	// returned slice is the caller's: the device keeps no reference.
 	ReadBlock(i int) ([]byte, error)
 	// WriteBlock replaces block i. The device grows as needed.
 	WriteBlock(i int, p []byte) error

@@ -77,6 +77,10 @@ func encodePage(blockSize int, version uint64, payload []byte) []byte {
 }
 
 // decodePage validates a raw block and returns (version, payload, ok).
+// The payload aliases raw — a block ReadBlock handed over is the
+// caller's, so a verified page reaches ReadPage's caller without a
+// second copy — with its capacity clipped so an append cannot run into
+// the block's padding.
 func decodePage(raw []byte) (uint64, []byte, bool) {
 	if len(raw) < pageHeaderSize {
 		return 0, nil, false
@@ -86,15 +90,14 @@ func decodePage(raw []byte) (uint64, []byte, bool) {
 	if int(length) > len(raw)-pageHeaderSize {
 		return 0, nil, false
 	}
-	payload := raw[16 : 16+int(length)]
+	end := pageHeaderSize + int(length)
+	payload := raw[pageHeaderSize:end:end]
 	crc := crc32.ChecksumIEEE(raw[0:12])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	if crc != binary.LittleEndian.Uint32(raw[12:16]) {
 		return 0, nil, false
 	}
-	out := make([]byte, length)
-	copy(out, payload)
-	return version, out, true
+	return version, payload, true
 }
 
 // copyState classifies one device copy of a page.

@@ -15,7 +15,11 @@ import (
 // scan. Whatever state results, reopening must not panic, the survivors
 // must be a prefix of the written sequence that contains at least every
 // acknowledged entry byte-identically, and backward iteration must
-// agree exactly with forward reads.
+// agree exactly with forward reads. Every reader is then compared,
+// differentially, with the uncached reference reader (refLog) — once
+// over the reopened log and once more after new entries have been
+// forced over whatever the torn force left beyond the durable boundary,
+// which is where a page cached too generously would turn stale.
 func FuzzReadBackward(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(2), false)
 	f.Add(int64(2), uint8(1), uint8(0), true)
@@ -123,5 +127,21 @@ func FuzzReadBackward(f *testing.F) {
 		if i != 0 {
 			t.Fatalf("ReadBackward stopped with %d survivors unseen", i)
 		}
+
+		checkAgainstReference(t, re)
+		checkCursor(t, re)
+		for i, more := 0, 1+rng.Intn(4); i < more; i++ {
+			p := make([]byte, rng.Intn(60))
+			rng.Read(p)
+			lsn, err := re.ForceWrite(p)
+			if err != nil {
+				t.Fatalf("ForceWrite after reopen: %v", err)
+			}
+			if got, err := re.Read(lsn); err != nil || !bytes.Equal(got, p) {
+				t.Fatalf("entry forced after reopen reads back (%q, %v), want %q", got, err, p)
+			}
+		}
+		checkAgainstReference(t, re)
+		checkCursor(t, re)
 	})
 }

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -102,6 +103,7 @@ type Log struct {
 	forced   LSN    // address of the last entry known forced
 	nEntries int    // appended entries (including buffered)
 	nForces  int    // force operations performed (statistics)
+	pages    pageCursor
 
 	// sched coalesces concurrent ForceTo waiters into shared force
 	// rounds (see scheduler.go).
@@ -192,11 +194,11 @@ func Open(store *stable.Store) (*Log, error) {
 	// the bytes that precede the append point within that page.
 	pageStart := off - off%uint64(l.pageSize)
 	if off > pageStart {
-		img, err := l.readDurable(pageStart, int(off-pageStart), off)
+		img, ok, err := l.appendAt(nil, pageStart, int(off-pageStart), off)
 		if err != nil {
 			return nil, err
 		}
-		if img == nil {
+		if !ok {
 			return nil, fmt.Errorf("stablelog: superblock names %d durable bytes but tail page is short", off)
 		}
 		copy(l.tailImg, img)
@@ -225,36 +227,37 @@ func salvageOpen(store *stable.Store) (*Log, error) {
 	var (
 		off     uint64
 		prevLen uint32
+		payload []byte
 	)
 	l.nEntries = 0
+	// The scan treats every written page as candidate log: nothing is
+	// known durable yet, so nothing is clipped or served from buf.
+	l.durable, l.tail = limit, limit
 	for {
-		hdr, err := l.readDurable(off, frameHeaderSize, limit)
-		if err != nil || hdr == nil || hdr[0] != frameMagic {
-			break // hole, lost page, or end of extent: durable prefix ends here
-		}
-		plen := binary.LittleEndian.Uint32(hdr[1:5])
-		pl := binary.LittleEndian.Uint32(hdr[5:9])
-		crc := binary.LittleEndian.Uint32(hdr[9:13])
-		if pl != prevLen {
-			break // back-chain mismatch: stale bytes, not a live frame
-		}
-		payload, err := l.readDurable(off+frameHeaderSize, int(plen), limit)
-		if err != nil || payload == nil || frameCRC(plen, pl, payload) != crc {
+		h, p, ok, err := l.frameAt(payload[:0], off)
+		if err != nil || !ok || h.prevLen != prevLen {
+			// Hole, lost page, end of extent, torn frame, or a
+			// back-chain mismatch (stale bytes, not a live frame): the
+			// durable prefix ends here.
 			break
 		}
+		payload = p
 		l.lastLSN = LSN(off)
-		l.last = uint32(frameHeaderSize) + plen
+		l.last = uint32(h.size())
 		prevLen = l.last
-		off += uint64(l.last)
+		off += h.size()
 		l.nEntries++
 	}
 	l.durable = off
 	l.tail = off
 	l.forced = l.lastLSN
+	// The scan cached pages whole, beyond what it accepted; those bytes
+	// will be overwritten by the next force, so they must not stay.
+	l.pages = pageCursor{}
 	pageStart := off - off%ps
 	if off > pageStart {
-		img, err := l.readDurable(pageStart, int(off-pageStart), off)
-		if err != nil || img == nil {
+		img, ok, err := l.appendAt(nil, pageStart, int(off-pageStart), off)
+		if err != nil || !ok {
 			return nil, fmt.Errorf("stablelog: salvage cannot reread tail page at %d: %v", pageStart, err)
 		}
 		copy(l.tailImg, img)
@@ -278,35 +281,141 @@ func frameCRC(plen, prevLen uint32, payload []byte) uint32 {
 	return crc32.Update(crc, crc32.IEEETable, payload)
 }
 
-// readDurable returns n bytes starting at byte offset off, read from the
-// store's pages, or nil if the range extends past limit.
-func (l *Log) readDurable(off uint64, n int, limit uint64) ([]byte, error) {
-	if n == 0 {
-		return []byte{}, nil
+// frameHeader is a decoded frame header.
+type frameHeader struct{ plen, prevLen, crc uint32 }
+
+// decodeHeader decodes the frame header at the start of b; ok is false
+// if b is too short to hold one or does not start with the frame magic.
+func decodeHeader(b []byte) (h frameHeader, ok bool) {
+	if len(b) < frameHeaderSize || b[0] != frameMagic {
+		return h, false
 	}
+	h.plen = binary.LittleEndian.Uint32(b[1:5])
+	h.prevLen = binary.LittleEndian.Uint32(b[5:9])
+	h.crc = binary.LittleEndian.Uint32(b[9:13])
+	return h, true
+}
+
+// size is the frame's length in the log, header included.
+func (h frameHeader) size() uint64 { return frameHeaderSize + uint64(h.plen) }
+
+// seals reports whether payload is what the header was checksummed over.
+func (h frameHeader) seals(payload []byte) bool {
+	return frameCRC(h.plen, h.prevLen, payload) == h.crc
+}
+
+// cursorPages is how many verified pages a Log keeps. Two is the floor
+// (a frame straddling a page boundary thrashes a one-page cache); the
+// rest absorb recovery hopping between the outcome chain and the data
+// entries it points at.
+const cursorPages = 4
+
+// pageCursor is the log's read cache: the payloads of the last few data
+// pages Store.ReadPage returned, so that each page is read and verified
+// once per scan instead of twice per frame. It rests on one invariant:
+// within a Log's lifetime a durable byte offset is written once. The
+// buffer is append-only, forceRound re-lays the same prefix of the tail
+// page, a refused force retries the same bytes, and a generation switch
+// installs a new Log. So a cached page — clipped on load to the durable
+// boundary, beyond which an earlier incarnation's bytes may linger —
+// can be short but never stale: a read running past the cached length
+// reloads it, and nothing else ever invalidates. Guarded by Log.mu.
+type pageCursor struct {
+	no   [cursorPages]int // store page held by each slot; 0 (the superblock) = empty
+	data [cursorPages][]byte
+	next int // slot the next load replaces
+}
+
+// page returns the verified payload of data page no, from the cursor if
+// it holds at least need bytes of it and from the store otherwise. The
+// result is shorter than need only if the store holds no more; such a
+// page, like a failed read, is not cached.
+func (l *Log) page(no, need int) ([]byte, error) {
+	c := &l.pages
+	slot := -1
+	for i, held := range c.no {
+		if held == no {
+			if len(c.data[i]) >= need {
+				return c.data[i], nil
+			}
+			slot = i
+			break
+		}
+	}
+	data, err := l.store.ReadPage(no)
+	if err != nil {
+		return nil, err
+	}
+	start := uint64(no-firstDataPage) * uint64(l.pageSize)
+	if start+uint64(len(data)) > l.durable {
+		data = data[:l.durable-start]
+	}
+	if len(data) < need {
+		return data, nil
+	}
+	if slot < 0 {
+		slot, c.next = c.next, (c.next+1)%cursorPages
+	}
+	c.no[slot], c.data[slot] = no, data
+	return data, nil
+}
+
+// appendAt appends the n log bytes at byte offset off to dst: durable
+// bytes through the page cursor, bytes past the durable boundary from
+// the append buffer. ok is false if the range runs past limit (at most
+// the tail) or past what the store holds.
+func (l *Log) appendAt(dst []byte, off uint64, n int, limit uint64) (_ []byte, ok bool, err error) {
 	if off+uint64(n) > limit {
-		return nil, nil
+		return dst, false, nil
 	}
-	out := make([]byte, 0, n)
+	dst = slices.Grow(dst, n)
 	ps := uint64(l.pageSize)
-	for len(out) < n {
-		page := firstDataPage + int(off/ps)
+	for n > 0 && off < l.durable {
 		in := off % ps
-		data, err := l.store.ReadPage(page)
+		take := min(uint64(n), ps-in, l.durable-off)
+		data, err := l.page(firstDataPage+int(off/ps), int(in+take))
 		if err != nil {
-			return nil, err
+			return dst, false, err
 		}
-		if uint64(len(data)) <= in {
-			return nil, nil // page shorter than expected: past the end
+		if uint64(len(data)) < in+take {
+			return dst, false, nil // page shorter than expected: past the end
 		}
-		take := uint64(n - len(out))
-		if avail := uint64(len(data)) - in; avail < take {
-			take = avail
-		}
-		out = append(out, data[in:in+take]...)
+		dst = append(dst, data[in:in+take]...)
 		off += take
+		n -= int(take)
 	}
-	return out, nil
+	if n > 0 {
+		dst = append(dst, l.buf[off-l.durable:][:n]...)
+	}
+	return dst, true, nil
+}
+
+// headerAt decodes the frame header at byte offset off; ok is false if
+// no header lies there below limit.
+func (l *Log) headerAt(off, limit uint64) (h frameHeader, ok bool, err error) {
+	var b [frameHeaderSize]byte
+	hdr, ok, err := l.appendAt(b[:0], off, frameHeaderSize, limit)
+	if err != nil || !ok {
+		return h, false, err
+	}
+	h, ok = decodeHeader(hdr)
+	return h, ok, nil
+}
+
+// frameAt reads the frame at byte offset off, appending its payload to
+// dst; ok is false if no whole frame with a good checksum lies there
+// below the tail. It is the one frame reader under Read, Prev,
+// ReadBackward, Entries and the salvage scan.
+func (l *Log) frameAt(dst []byte, off uint64) (h frameHeader, payload []byte, ok bool, err error) {
+	h, ok, err = l.headerAt(off, l.tail)
+	if err != nil || !ok {
+		return h, nil, false, err
+	}
+	payload, ok, err = l.appendAt(dst, off+frameHeaderSize, int(h.plen), l.tail)
+	if err != nil || !ok || !h.seals(payload[len(dst):]) {
+		return h, nil, false, err
+	}
+	return h, payload, true, nil
 }
 
 // Write appends an entry and returns its address. The entry is durable
@@ -372,7 +481,7 @@ func (l *Log) Force() error {
 
 // forceRound performs one device force: it snapshots the buffered
 // suffix under mu, writes it to the store with mu released (appends and
-// reads continue meanwhile; readAt never serves past the unchanged
+// reads continue meanwhile; appendAt never serves past the unchanged
 // durable boundary, and the flushed prefix of the tail page keeps its
 // byte values), seals the force with the superblock, and publishes the
 // new durable boundary. Entries appended after the snapshot stay
@@ -454,29 +563,6 @@ func (l *Log) forceRound() error {
 	return nil
 }
 
-// readAt serves n bytes at off from durable pages or, past the durable
-// boundary, from the in-memory buffer.
-func (l *Log) readAt(off uint64, n int) ([]byte, error) {
-	if off+uint64(n) > l.tail {
-		return nil, nil
-	}
-	if off >= l.durable {
-		b := l.buf[off-l.durable : off-l.durable+uint64(n)]
-		out := make([]byte, n)
-		copy(out, b)
-		return out, nil
-	}
-	if off+uint64(n) <= l.durable {
-		return l.readDurable(off, n, l.durable)
-	}
-	head, err := l.readDurable(off, int(l.durable-off), l.durable)
-	if err != nil || head == nil {
-		return head, err
-	}
-	rest := n - len(head)
-	return append(head, l.buf[:rest]...), nil
-}
-
 // Read returns the entry whose frame starts at address lsn.
 func (l *Log) Read(lsn LSN) ([]byte, error) {
 	payload, _, err := l.readFrame(lsn)
@@ -495,24 +581,14 @@ func (l *Log) readFrameLocked(lsn LSN) ([]byte, uint32, error) {
 	if lsn == NoLSN || uint64(lsn) >= l.tail {
 		return nil, 0, ErrNoEntry
 	}
-	hdr, err := l.readAt(uint64(lsn), frameHeaderSize)
+	h, payload, ok, err := l.frameAt(nil, uint64(lsn))
 	if err != nil {
 		return nil, 0, err
 	}
-	if hdr == nil || hdr[0] != frameMagic {
+	if !ok {
 		return nil, 0, ErrNoEntry
 	}
-	plen := binary.LittleEndian.Uint32(hdr[1:5])
-	prevLen := binary.LittleEndian.Uint32(hdr[5:9])
-	crc := binary.LittleEndian.Uint32(hdr[9:13])
-	payload, err := l.readAt(uint64(lsn)+frameHeaderSize, int(plen))
-	if err != nil {
-		return nil, 0, err
-	}
-	if payload == nil || frameCRC(plen, prevLen, payload) != crc {
-		return nil, 0, ErrNoEntry
-	}
-	return payload, prevLen, nil
+	return payload, h.prevLen, nil
 }
 
 // Top returns the address of the last entry forced to the log, or NoLSN

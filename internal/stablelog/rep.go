@@ -18,7 +18,6 @@ package stablelog
 // which are frame boundaries by construction.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -106,37 +105,35 @@ func (l *Log) ReadRaw(from uint64, max int) ([]byte, uint32, error) {
 	if from >= l.durable {
 		return nil, 0, fmt.Errorf("%w: offset %d at or beyond durable boundary %d", ErrBadFrame, from, l.durable)
 	}
+	// The run is at most max bytes unless its first frame alone is longer.
+	out := make([]byte, 0, min(uint64(max), l.durable-from))
 	var prevLen uint32
-	end := from
-	for end < l.durable {
-		hdr, err := l.readAt(end, frameHeaderSize)
+	for end := from; end < l.durable; {
+		h, ok, err := l.headerAt(end, l.durable)
 		if err != nil {
 			return nil, 0, err
 		}
-		if hdr == nil || hdr[0] != frameMagic {
+		if !ok {
 			return nil, 0, fmt.Errorf("%w: no frame at offset %d", ErrBadFrame, end)
 		}
-		plen := binary.LittleEndian.Uint32(hdr[1:5])
 		if end == from {
-			prevLen = binary.LittleEndian.Uint32(hdr[5:9])
+			prevLen = h.prevLen
 		}
-		flen := uint64(frameHeaderSize) + uint64(plen)
-		if end+flen > l.durable {
+		if end+h.size() > l.durable {
 			return nil, 0, fmt.Errorf("%w: frame at %d runs past durable boundary %d", ErrBadFrame, end, l.durable)
 		}
-		if end > from && end+flen-from > uint64(max) {
+		if end > from && end+h.size()-from > uint64(max) {
 			break
 		}
-		end += flen
+		if out, ok, err = l.appendAt(out, end, int(h.size()), l.durable); err != nil {
+			return nil, 0, err
+		}
+		if !ok {
+			return nil, 0, fmt.Errorf("%w: raw range [%d,%d) unreadable", ErrBadFrame, from, end+h.size())
+		}
+		end += h.size()
 	}
-	b, err := l.readAt(from, int(end-from))
-	if err != nil {
-		return nil, 0, err
-	}
-	if b == nil {
-		return nil, 0, fmt.Errorf("%w: raw range [%d,%d) unreadable", ErrBadFrame, from, end)
-	}
-	return b, prevLen, nil
+	return out, prevLen, nil
 }
 
 // Frame is one parsed replicated log frame: the address its bytes
@@ -163,26 +160,23 @@ func ParseFrames(start uint64, prevLen uint32, b []byte) ([]Frame, error) {
 		if n-off < frameHeaderSize {
 			return nil, fmt.Errorf("%w: torn header at offset %d", ErrBadFrame, start+off)
 		}
-		hdr := b[off : off+frameHeaderSize]
-		if hdr[0] != frameMagic {
+		h, ok := decodeHeader(b[off:])
+		if !ok {
 			return nil, fmt.Errorf("%w: bad magic at offset %d", ErrBadFrame, start+off)
 		}
-		plen := binary.LittleEndian.Uint32(hdr[1:5])
-		pl := binary.LittleEndian.Uint32(hdr[5:9])
-		crc := binary.LittleEndian.Uint32(hdr[9:13])
-		if pl != prevLen {
-			return nil, fmt.Errorf("%w: back-chain %d at offset %d, want %d", ErrBadFrame, pl, start+off, prevLen)
+		if h.prevLen != prevLen {
+			return nil, fmt.Errorf("%w: back-chain %d at offset %d, want %d", ErrBadFrame, h.prevLen, start+off, prevLen)
 		}
-		if uint64(plen) > n-off-frameHeaderSize {
+		if h.size() > n-off {
 			return nil, fmt.Errorf("%w: torn payload at offset %d", ErrBadFrame, start+off)
 		}
-		payload := b[off+frameHeaderSize : off+frameHeaderSize+uint64(plen)]
-		if frameCRC(plen, pl, payload) != crc {
+		payload := b[off+frameHeaderSize : off+h.size()]
+		if !h.seals(payload) {
 			return nil, fmt.Errorf("%w: checksum mismatch at offset %d", ErrBadFrame, start+off)
 		}
-		out = append(out, Frame{LSN: LSN(start + off), PrevLen: pl, Payload: payload})
-		prevLen = frameHeaderSize + plen
-		off += uint64(frameHeaderSize) + uint64(plen)
+		out = append(out, Frame{LSN: LSN(start + off), PrevLen: h.prevLen, Payload: payload})
+		prevLen = uint32(h.size())
+		off += h.size()
 	}
 	return out, nil
 }
