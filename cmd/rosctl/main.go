@@ -10,10 +10,12 @@
 //	ping                  round-trip a frame
 //	get <key>             read a key's committed value over the
 //	                      index-served read path (OpGet): no action, no
-//	                      lock, no log force. Against a sharded cluster
-//	                      the read routes to the key's owning shard.
+//	                      lock, no log force
 //	put <key> <value>     store a value (int if it parses, else string)
 //	incr <key> [delta]    add delta (default 1) and print the new total
+//	                      (get, put and incr address shard 0 of an
+//	                      unsharded node and, against a sharded cluster,
+//	                      route to the key's owning shard)
 //	status                report replication role, epoch, durable and
 //	                      quorum-acked log bytes, replica health, the
 //	                      live-version index counters (hits, misses,
@@ -43,6 +45,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -89,33 +92,14 @@ func run(args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: rosctl get <key>")
 		}
-		// A sharded node hosts no default guardian: route the read to
-		// the key's owner. Everything else answers OpGet directly.
-		var v value.Value
-		var err error
-		if _, rerr := c.Route(); rerr == nil {
-			r := client.NewRouted([]string{*addr}, client.Options{CallTimeout: *timeout})
-			//roslint:besteffort process exit follows immediately; the read's own error is what matters
-			defer r.Close()
-			v, err = r.Get(args[1])
-		} else {
-			v, err = c.Get(args[1])
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Println(value.String(v))
-		return nil
+		return keyed(c, args[1], func(c *client.Client, sh uint32) (value.Value, error) {
+			return c.GetShard(sh, args[1])
+		})
 	case "put":
 		if len(args) != 3 {
 			return fmt.Errorf("usage: rosctl put <key> <value>")
 		}
-		v, err := c.Invoke("put", value.NewList(value.Str(args[1]), parseValue(args[2])))
-		if err != nil {
-			return err
-		}
-		fmt.Println(value.String(v))
-		return nil
+		return keyed(c, args[1], invoke("put", value.NewList(value.Str(args[1]), parseValue(args[2]))))
 	case "incr":
 		if len(args) != 2 && len(args) != 3 {
 			return fmt.Errorf("usage: rosctl incr <key> [delta]")
@@ -128,12 +112,7 @@ func run(args []string) error {
 			}
 			delta = n
 		}
-		v, err := c.Invoke("incr", value.NewList(value.Str(args[1]), value.Int(delta)))
-		if err != nil {
-			return err
-		}
-		fmt.Println(value.String(v))
-		return nil
+		return keyed(c, args[1], invoke("incr", value.NewList(value.Str(args[1]), value.Int(delta))))
 	case "status":
 		st, err := c.Status()
 		if err != nil {
@@ -194,6 +173,35 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown command %q (want ping, get, put, incr, status, route, handoff, txn, or promote)", cmd)
 	}
+}
+
+// invoke is the keyed op running handler as one complete atomic action.
+func invoke(handler string, arg value.Value) func(*client.Client, uint32) (value.Value, error) {
+	return func(c *client.Client, sh uint32) (value.Value, error) { return c.InvokeShard(sh, handler, arg) }
+}
+
+// keyed sends op to the shard owning key and prints the result — the
+// one addressing path of get, put and incr. Shard 0 of -addr is the
+// whole store on an unsharded node; a node that hosts routed shards
+// instead refuses it with its routing table in-band, and op re-runs at
+// the owner that table names.
+func keyed(c *client.Client, key string, op func(c *client.Client, sh uint32) (value.Value, error)) error {
+	v, err := op(c, 0)
+	var wse *client.WrongShardError
+	if errors.As(err, &wse) {
+		if tbl, terr := wse.Table(); terr == nil {
+			owner := tbl.Owner(key)
+			oc := client.New(owner.Addr, client.Options{CallTimeout: *timeout})
+			//roslint:besteffort process exit follows immediately; the request's own error is what matters
+			defer oc.Close()
+			v, err = op(oc, uint32(owner.ID))
+		}
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Println(value.String(v))
+	return nil
 }
 
 // runTxn drives one cross-shard atomic action: every key=delta pair

@@ -1,11 +1,12 @@
-// Command rosd serves one guardian over TCP: the reliable object
-// store as a daemon. It registers a small durable key/value interface
-// (get, put, incr — each a complete atomic action, or a subaction of
-// a caller-coordinated one) and serves it through internal/server.
+// Command rosd serves the guardians of one node over TCP: the reliable
+// object store as a daemon. Each carries a small durable key/value
+// interface (get, put, incr — each a complete atomic action, or a
+// subaction of a caller-coordinated one), runs the hybrid log, and is
+// served through internal/server under a shard id.
 //
 // Usage:
 //
-//	rosd [-addr 127.0.0.1:4146] [-id 1] [-backend hybrid]
+//	rosd [-addr 127.0.0.1:4146] [-id 1]
 //	     [-workers 8] [-maxconns 64]
 //	     [-trace] [-tracefile path]
 //	     [-data dir] [-datacap bytes] [-datasync]
@@ -104,7 +105,6 @@ import (
 var (
 	addr      = flag.String("addr", "127.0.0.1:4146", "listen address")
 	id        = flag.Uint("id", 1, "guardian id")
-	backend   = flag.String("backend", "hybrid", "recovery organization: simple, hybrid, shadow")
 	workers   = flag.Int("workers", 8, "request worker pool size")
 	maxconns  = flag.Int("maxconns", 64, "concurrent connection limit")
 	trace     = flag.Bool("trace", false, "stream rpc.* events to stderr")
@@ -120,6 +120,11 @@ var (
 	datasync  = flag.Bool("datasync", false, "fsync every stable-storage block write (off is sound for process-kill faults: the page cache survives SIGKILL)")
 	tracefile = flag.String("tracefile", "", "append the binary obs event stream to this file")
 )
+
+// backend is what every served guardian runs: replication and handoff
+// need a log site, and hybrid is the log that can housekeep. Simple and
+// shadow are in-process comparisons only (DESIGN.md "Serving layer").
+const backend = core.BackendHybrid
 
 // dataBlockSize is the stable-device block size for -data volumes,
 // matching the guardian's in-memory default.
@@ -153,17 +158,6 @@ func (t teeTracer) Emit(e obs.Event) {
 }
 
 func run() error {
-	var b core.Backend
-	switch *backend {
-	case "simple":
-		b = core.BackendSimple
-	case "hybrid":
-		b = core.BackendHybrid
-	case "shadow":
-		b = core.BackendShadow
-	default:
-		return fmt.Errorf("unknown backend %q", *backend)
-	}
 	var tr obs.Tracer
 	if *trace {
 		tr = stderrTracer{}
@@ -209,13 +203,16 @@ func run() error {
 	}
 	cfg := server.Config{Workers: *workers, MaxConns: *maxconns, Tracer: tr}
 	// Every rosd can ship a shard out (rosctl handoff) and adopt one
-	// shipped in; the adopted guardian gets the same handlers.
+	// shipped in.
 	cfg.HandoffShip = func(target string, hf wire.HandoffFrames) (wire.RepAck, error) {
 		c := client.New(target, client.Options{Tracer: tr})
 		//roslint:besteffort one-shot ship client; the HandoffInstall result carries the errors that matter
 		defer c.Close()
 		return c.HandoffInstall(hf)
 	}
+	// A guardian recovered from a receiver — a promoted backup, a shard
+	// shipped in — gets the same handlers and settles the actions it
+	// coordinated: their verdicts are in the log just recovered.
 	cfg.OnAdopt = func(id uint32, g *guardian.Guardian) {
 		registerKV(g)
 		if err := settleSelf(g); err != nil {
@@ -223,7 +220,7 @@ func run() error {
 		}
 	}
 
-	s, err := buildServer(b, tr, cfg)
+	s, err := buildServer(tr, cfg)
 	if err != nil {
 		return err
 	}
@@ -237,66 +234,67 @@ func run() error {
 		done <- s.Close()
 	}()
 
-	fmt.Fprintf(os.Stderr, "rosd: %s %d (%v) serving on %s\n", *role, *id, b, *addr)
+	fmt.Fprintf(os.Stderr, "rosd: %s %d (%v) serving on %s\n", *role, *id, backend, *addr)
 	if err := s.ListenAndServe(*addr); !errors.Is(err, server.ErrClosed) {
 		return err
 	}
 	return <-done
 }
 
-// buildServer assembles the server for the configured -role.
-func buildServer(b core.Backend, tr obs.Tracer, cfg server.Config) (*server.Server, error) {
-	if strings.TrimSpace(*shards) != "" && *role != "standalone" {
+// buildServer opens what this node hosts and registers each under its
+// shard id: one guardian per -shards entry, else shard 0 holding the
+// -id guardian (standalone, primary) or a replication receiver for it
+// (backup).
+func buildServer(tr obs.Tracer, cfg server.Config) (*server.Server, error) {
+	sharded := strings.TrimSpace(*shards) != ""
+	switch {
+	case sharded && *role != "standalone":
 		return nil, fmt.Errorf("-shards combines only with -role standalone (shard guardians are unreplicated)")
-	}
-	switch *role {
-	case "standalone":
-		if strings.TrimSpace(*shards) != "" {
-			return buildSharded(b, tr, cfg)
-		}
-		g, err := openOrNewGuardian(ids.GuardianID(*id), b, tr)
-		if err != nil {
-			return nil, err
-		}
-		registerKV(g)
-		return server.New(g, cfg), nil
 
-	case "primary":
-		g, err := openOrNewGuardian(ids.GuardianID(*id), b, tr)
-		if err != nil {
-			return nil, err
-		}
-		registerKV(g)
-		peers, err := parseBackups(*backups)
-		if err != nil {
-			return nil, err
-		}
-		tp := client.NewTransport()
-		tp.SetTracer(tr)
-		reps := make([]replog.Replica, 0, len(peers))
-		for _, pe := range peers {
-			tp.Register(pe.id, client.New(pe.addr, client.Options{Tracer: tr}))
-			r, err := tp.Replica(pe.id)
+	case sharded:
+		s := server.New(nil, cfg)
+		for _, part := range strings.Split(*shards, ",") {
+			n, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
+			if err != nil || n == 0 {
+				return nil, fmt.Errorf("-shards entry %q: want a nonzero shard id", part)
+			}
+			g, err := openOrNewGuardian(ids.GuardianID(n), tr)
 			if err != nil {
 				return nil, err
 			}
-			reps = append(reps, r)
+			registerKV(g)
+			s.AddShard(uint32(n), g)
 		}
-		p, err := replog.NewPrimary(replog.Config{
-			Self: ids.GuardianID(*id), Site: g.Site(), Quorum: *quorum,
-			Net: tp, Replicas: reps, Tracer: tr,
-		})
+		if strings.TrimSpace(*routemap) != "" {
+			t, err := parseRouteMap(*routemap, *routekind)
+			if err != nil {
+				return nil, err
+			}
+			if err := s.InstallTable(t); err != nil {
+				return nil, err
+			}
+		}
+		return s, nil
+
+	case *role == "standalone", *role == "primary":
+		g, err := openOrNewGuardian(ids.GuardianID(*id), tr)
 		if err != nil {
 			return nil, err
 		}
-		g.SetReplicator(p)
-		cfg.Status = p.Status
+		registerKV(g)
+		if *role == "primary" {
+			p, err := replicate(g, tr)
+			if err != nil {
+				return nil, err
+			}
+			cfg.Status = p.Status
+		}
 		return server.New(g, cfg), nil
 
-	case "backup":
+	case *role == "backup":
 		bcfg := replog.BackupConfig{
 			ID: ids.GuardianID(*id), Primary: ids.GuardianID(*primaryID),
-			Backend: b, Tracer: tr,
+			Backend: backend, Tracer: tr,
 		}
 		if *data != "" {
 			vol, err := dataVol(fmt.Sprintf("b%d", *id))
@@ -310,16 +308,6 @@ func buildServer(b core.Backend, tr obs.Tracer, cfg server.Config) (*server.Serv
 			return nil, err
 		}
 		cfg.Backup = bk
-		// A promoted backup is the guardian from then on: install the
-		// same handlers a standalone rosd serves, and settle the
-		// actions the dead primary coordinated — their verdicts are in
-		// the replicated log the promotion just recovered.
-		cfg.OnPromote = func(g *guardian.Guardian) {
-			registerKV(g)
-			if err := settleSelf(g); err != nil {
-				fmt.Fprintln(os.Stderr, "rosd: promote: settle:", err)
-			}
-		}
 		return server.New(nil, cfg), nil
 
 	default:
@@ -327,33 +315,33 @@ func buildServer(b core.Backend, tr obs.Tracer, cfg server.Config) (*server.Serv
 	}
 }
 
-// buildSharded assembles a registry node: one guardian per -shards
-// entry (no default -id guardian — every request must carry a shard
-// id) plus the version-1 cluster routing table from -routemap.
-func buildSharded(b core.Backend, tr obs.Tracer, cfg server.Config) (*server.Server, error) {
-	s := server.New(nil, cfg)
-	for _, part := range strings.Split(*shards, ",") {
-		n, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
-		if err != nil || n == 0 {
-			return nil, fmt.Errorf("-shards entry %q: want a nonzero shard id", part)
-		}
-		g, err := openOrNewGuardian(ids.GuardianID(n), b, tr)
+// replicate makes g the primary of the -backups set, acknowledging
+// commits at -quorum durable copies.
+func replicate(g *guardian.Guardian, tr obs.Tracer) (*replog.Primary, error) {
+	peers, err := parseBackups(*backups)
+	if err != nil {
+		return nil, err
+	}
+	tp := client.NewTransport()
+	tp.SetTracer(tr)
+	reps := make([]replog.Replica, 0, len(peers))
+	for _, pe := range peers {
+		tp.Register(pe.id, client.New(pe.addr, client.Options{Tracer: tr}))
+		r, err := tp.Replica(pe.id)
 		if err != nil {
 			return nil, err
 		}
-		registerKV(g)
-		s.AddShard(uint32(n), g)
+		reps = append(reps, r)
 	}
-	if strings.TrimSpace(*routemap) != "" {
-		t, err := parseRouteMap(*routemap, *routekind)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.InstallTable(t); err != nil {
-			return nil, err
-		}
+	p, err := replog.NewPrimary(replog.Config{
+		Self: g.ID(), Site: g.Site(), Quorum: *quorum,
+		Net: tp, Replicas: reps, Tracer: tr,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	g.SetReplicator(p)
+	return p, nil
 }
 
 // dataVol opens (creating if needed) the persistent volume under
@@ -372,17 +360,17 @@ func dataVol(sub string) (*stablelog.FileVolume, error) {
 // subdirectory. An existing site recovers through guardian.Open; a
 // directory with no completed site (first boot, or a crash before
 // creation finished) falls through to guardian.New on the same volume.
-func openOrNewGuardian(gid ids.GuardianID, b core.Backend, tr obs.Tracer) (*guardian.Guardian, error) {
+func openOrNewGuardian(gid ids.GuardianID, tr obs.Tracer) (*guardian.Guardian, error) {
 	if *data == "" {
-		return guardian.New(gid, guardian.WithBackend(b), guardian.WithTracer(tr))
+		return guardian.New(gid, guardian.WithBackend(backend), guardian.WithTracer(tr))
 	}
 	vol, err := dataVol(fmt.Sprintf("g%d", gid))
 	if err != nil {
 		return nil, err
 	}
-	g, err := guardian.Open(gid, vol, b, guardian.WithTracer(tr))
+	g, err := guardian.Open(gid, vol, backend, guardian.WithTracer(tr))
 	if errors.Is(err, stablelog.ErrNoSite) {
-		g, err = guardian.New(gid, guardian.WithBackend(b), guardian.WithTracer(tr), guardian.WithVolume(vol))
+		g, err = guardian.New(gid, guardian.WithBackend(backend), guardian.WithTracer(tr), guardian.WithVolume(vol))
 	}
 	if err != nil {
 		return nil, err

@@ -157,6 +157,21 @@ func TestShardedClusterSmoke(t *testing.T) {
 		t.Fatalf("get %s = %q, want 9", keys[5], strings.TrimSpace(out))
 	}
 
+	// rosctl incr and put route by key exactly as get does: neither
+	// node asked hosts the key's shard (or anything as shard 0).
+	out, err = ctl(t, rosctlBin, addrs[1], "incr", keys[5], "2")
+	if err != nil || strings.TrimSpace(out) != "11" {
+		t.Fatalf("incr %s 2 = %q (%v), want 11", keys[5], strings.TrimSpace(out), err)
+	}
+	out, err = ctl(t, rosctlBin, addrs[2], "put", keys[2], "42")
+	if err != nil || strings.TrimSpace(out) != "42" {
+		t.Fatalf("put %s 42 = %q (%v), want 42", keys[2], strings.TrimSpace(out), err)
+	}
+	out, err = ctl(t, rosctlBin, addrs[1], "get", keys[2])
+	if err != nil || strings.TrimSpace(out) != "42" {
+		t.Fatalf("get %s = %q (%v), want 42", keys[2], strings.TrimSpace(out), err)
+	}
+
 	// rosctl status: the two-shard node reports one row per shard plus
 	// the node's aggregated index counters; node 2 (which just served
 	// the routed get of keys[5]) must have recorded the hit.

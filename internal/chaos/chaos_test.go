@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -145,10 +147,37 @@ func TestProxyPartitionHealDelay(t *testing.T) {
 
 // requireEpisode runs one episode and fails the test on any harness
 // error, oracle violation, checker violation, or errored fault
-// injection.
+// injection. A failed test keeps its evidence: cfg.Dir is a t.TempDir
+// the test would delete, so the episode directory (per-node traces and
+// data) moves to a fresh chaos-failed-* directory beside the artifacts
+// roschaos would have written — episode.json and the replayable
+// workload.bin — and the path is logged (CI uploads that glob).
 func requireEpisode(t *testing.T, cfg EpisodeConfig) *Report {
 	t.Helper()
 	cfg.RosdBin, cfg.CtlBin = binRosd, binCtl
+	var rep *Report
+	t.Cleanup(func() { // registered after cfg.Dir's own cleanup, so it runs first
+		if !t.Failed() {
+			return
+		}
+		kept, err := os.MkdirTemp("", "chaos-failed-*")
+		if err == nil {
+			kept = filepath.Join(kept, "episode")
+			err = os.Rename(cfg.Dir, kept)
+		}
+		if err != nil {
+			t.Logf("could not keep the failed episode: %v", err)
+			return
+		}
+		report, err := json.MarshalIndent(rep, "", "  ")
+		if err == nil {
+			err = os.WriteFile(filepath.Join(kept, "episode.json"), append(report, '\n'), 0o644)
+		}
+		if err == nil {
+			err = os.WriteFile(filepath.Join(kept, "workload.bin"), workload.EncodeConfig(cfg.Workload), 0o644)
+		}
+		t.Logf("failed episode kept in %s (artifact write error: %v)", kept, err)
+	})
 	rep, err := RunEpisode(cfg)
 	if rep != nil {
 		t.Logf("episode: acked=%d inDoubt=%d notExec=%d redriven=%d promoted=%q mergedEvents=%d truncated=%v oracleStates=%d idxProbed=%d",

@@ -21,7 +21,7 @@ import (
 )
 
 // Get reads the committed value bound to a stable-variable key on the
-// default guardian: the index-served read path (OpGet). A key no
+// node's shard 0: the index-served read path (OpGet). A key no
 // variable binds fails wrapping wire.ErrRemote ("no such key").
 func (c *Client) Get(key string) (value.Value, error) { return c.GetShard(0, key) }
 
@@ -157,7 +157,7 @@ func (c *Client) exchangeBatch(nc net.Conn, reqs []wire.Request) ([]wire.Respons
 	return out, nil
 }
 
-// GetBatch pipelines reads of several keys (default guardian) and
+// GetBatch pipelines reads of several keys (shard 0) and
 // returns one value per key, position-matched. Any per-key failure —
 // including a key that stayed StatusRetry through the budget — fails
 // the call, naming the key.

@@ -14,7 +14,7 @@ type RemoteParticipant struct {
 	// ID is the remote guardian's id.
 	ID ids.GuardianID
 	// Shard addresses the guardian on a node hosting several; zero is
-	// the node's default guardian (the pre-sharding contract).
+	// the node's unrouted shard (the pre-sharding contract).
 	Shard uint32
 	// C is the client reaching the guardian's server.
 	C *Client
@@ -46,7 +46,7 @@ func (p *RemoteParticipant) HandleAbort(aid ids.ActionID) error {
 type RemoteCoordinator struct {
 	ID ids.GuardianID
 	// Shard addresses the coordinating guardian on a node hosting
-	// several; zero is the node's default guardian.
+	// several; zero is the node's unrouted shard.
 	Shard uint32
 	C     *Client
 }

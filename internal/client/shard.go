@@ -3,8 +3,8 @@ package client
 // Shard-addressed calls. Every request carries a shard id; the server
 // dispatches it to the owning guardian in its registry and refuses
 // with StatusWrongShard — carrying its routing table in-band — when it
-// does not host the shard. Shard zero is the default guardian, which
-// keeps every pre-sharding call site working unchanged.
+// does not host the shard. Shard zero is the node's one unrouted entry,
+// which keeps every pre-sharding call site working unchanged.
 
 import (
 	"fmt"

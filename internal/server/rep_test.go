@@ -224,7 +224,7 @@ func TestRepFailoverOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, addr := startServer(t, nil, Config{Backup: b, OnPromote: register})
+		srv, addr := startServer(t, nil, Config{Backup: b, OnAdopt: func(_ uint32, g *guardian.Guardian) { register(g) }})
 		srvs = append(srvs, srv)
 		tp.Register(id, client.New(addr, client.Options{}))
 		r, err := tp.Replica(id)

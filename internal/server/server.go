@@ -1,6 +1,10 @@
 // Package server implements rosd, the networked serving layer: a TCP
-// front door over one guardian and its recovery system, speaking the
-// internal/wire protocol.
+// front door over the guardians a node hosts, speaking the
+// internal/wire protocol. A node is one registry from shard id to
+// either a serving guardian or a replication receiver that becomes one
+// (shard.go); a standalone or replicated guardian is shard 0, a
+// failover backup is shard 0 in receiver role, and every request
+// resolves through that one map.
 //
 // The ROADMAP's north star is a store "serving heavy traffic from
 // millions of users"; until this package, nothing could reach a
@@ -77,31 +81,24 @@ type Config struct {
 	// Tracer, when non-nil, receives the RPC lifecycle events:
 	// rpc.accept, rpc.dispatch, rpc.reply, rpc.timeout, rpc.drain.
 	Tracer obs.Tracer
-	// Backup, when non-nil, is the hosted replication receiver: the
-	// rep.* ops (append, heartbeat, snapshot) are dispatched to it, and
-	// OpPromote makes it take over as the served guardian. A server may
-	// start with a nil guardian when it hosts a backup — guardian ops
-	// answer StatusRetry until promotion installs the recovered
-	// guardian.
+	// Backup, when non-nil, is hosted as shard 0 in receiver role: the
+	// rep.* ops (append, heartbeat, snapshot) are dispatched to it,
+	// guardian ops answer StatusRetry, and OpPromote adopts the guardian
+	// it recovers as the one shard 0 serves.
 	Backup *replog.Backup
 	// Status, when non-nil, answers OpStatus — a primary's rosd wires
-	// its replog.Primary.Status here. Defaults to the hosted backup's
-	// status, or a standalone report from the served guardian's log.
+	// its replog.Primary.Status here. Defaults to shard 0's receiver
+	// status, or a standalone report from shard 0's guardian's log.
 	Status func() wire.RepStatus
-	// OnPromote, when non-nil, is called with the recovered guardian
-	// after OpPromote succeeds (once per promotion; the promote is
-	// idempotent but the hook fires only on the call that installed the
-	// guardian).
-	OnPromote func(*guardian.Guardian)
 	// HandoffShip, when non-nil, delivers one OpHandoffInstall step to
 	// the receiving node during an outbound shard handoff (a routed
 	// client wires a TCP call here; tests wire a loopback into another
 	// server's ApplyHandoff). A nil hook refuses OpHandoff.
 	HandoffShip func(target string, hf wire.HandoffFrames) (wire.RepAck, error)
-	// OnAdopt, when non-nil, is called with a shard guardian recovered
-	// by an inbound handoff, before the shard starts serving — the hook
-	// registers the application's handlers, exactly as OnPromote does
-	// for a failover.
+	// OnAdopt, when non-nil, is called once with the guardian a hosted
+	// receiver recovered — by OpPromote (a failover) or by the last step
+	// of an inbound handoff — before shard id starts serving it: the
+	// hook registers the application's handlers.
 	OnAdopt func(id uint32, g *guardian.Guardian)
 }
 
@@ -127,22 +124,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves one guardian over TCP.
+// Server serves the guardians one node hosts over TCP.
 type Server struct {
 	cfg Config
 	tr  obs.Tracer
 
-	gmu sync.Mutex
-	g   *guardian.Guardian // swapped by OpPromote on a backup server
-
-	// smu guards the shard registry and routing table. It is a leaf
-	// lock: held only to read or swap the maps below, never across a
-	// guardian call, a device write, or an emission — so it can never
-	// participate in a cycle with guardian or log locks.
-	smu      sync.Mutex
-	shards   map[uint32]*guardian.Guardian
-	table    *shard.Table
-	handoffs map[uint32]*replog.Backup // inbound handoffs, keyed by shard
+	// smu guards the registry — the map, each entry's serving guardian —
+	// and the routing table. It is a leaf lock: held only to read or
+	// swap those, never across Backup.Promote, a guardian call, a device
+	// write, or an emission — so it can never participate in a cycle
+	// with guardian, receiver or log locks.
+	smu    sync.Mutex
+	shards map[uint32]*hosted
+	table  *shard.Table
 
 	work chan task
 
@@ -190,39 +184,25 @@ func (c *conn) close() {
 	c.closeOnce.Do(func() { _ = c.nc.Close() })
 }
 
-// New returns a Server over g. The guardian's handlers (registered
-// with RegisterHandler) are its external interface; the server adds
-// only the network in front of them. g may be nil only when cfg hosts
-// a Backup: the server then serves nothing but the rep.* ops until an
-// OpPromote recovers and installs the guardian.
+// New returns a Server hosting g, cfg.Backup, or both as shard 0 —
+// New(nil, cfg) followed by AddShard(0, g), but for the node's rpc.*
+// events carrying shard 0's guardian id. A guardian's handlers
+// (registered with RegisterHandler) are its external interface; the
+// server adds only the network in front of them.
 func New(g *guardian.Guardian, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	gid := uint64(0)
-	switch {
-	case g != nil:
-		gid = uint64(g.ID())
-	case cfg.Backup != nil:
-		gid = uint64(cfg.Backup.ID())
-	}
 	s := &Server{
-		g:        g,
-		cfg:      cfg,
-		tr:       obs.WithGuardian(cfg.Tracer, gid),
-		shards:   make(map[uint32]*guardian.Guardian),
-		handoffs: make(map[uint32]*replog.Backup),
-		work:     make(chan task, cfg.QueueDepth),
-		conns:    make(map[*conn]bool),
-		closed:   make(chan struct{}),
+		cfg:    cfg,
+		shards: make(map[uint32]*hosted),
+		work:   make(chan task, cfg.QueueDepth),
+		conns:  make(map[*conn]bool),
+		closed: make(chan struct{}),
 	}
+	if g != nil || cfg.Backup != nil {
+		s.shards[0] = &hosted{g: g, b: cfg.Backup}
+	}
+	s.tr = obs.WithGuardian(cfg.Tracer, uint64(s.ID()))
 	return s
-}
-
-// guardian returns the currently served guardian (nil on a backup
-// server before promotion).
-func (s *Server) guardian() *guardian.Guardian {
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	return s.g
 }
 
 func (s *Server) emit(e obs.Event) {
@@ -240,9 +220,11 @@ func (s *Server) Serve(ln net.Listener) error {
 		return ErrClosed
 	}
 	s.ln = ln
+	// Both WaitGroups grow under mu: the drain sets closing there
+	// before it waits on either.
+	s.workers.Add(s.cfg.Workers)
 	s.mu.Unlock()
 
-	s.workers.Add(s.cfg.Workers)
 	for i := 0; i < s.cfg.Workers; i++ {
 		go s.worker()
 	}
@@ -267,9 +249,9 @@ func (s *Server) Serve(ln net.Listener) error {
 			continue
 		}
 		s.conns[c] = true
+		s.readers.Add(1)
 		s.mu.Unlock()
 		s.emit(obs.Event{Kind: obs.KindRPCAccept, From: c.serial, OK: true})
-		s.readers.Add(1)
 		go s.readLoop(c)
 	}
 }
@@ -351,6 +333,11 @@ func (s *Server) readLoop(c *conn) {
 	for {
 		//roslint:besteffort a dead connection surfaces in the following read
 		_ = c.nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		select {
+		case <-s.closed:
+			return // the deadline above may have replaced the drain's kick
+		default:
+		}
 		f, err := wire.ReadFrame(c.nc)
 		if err != nil {
 			var nerr net.Error
@@ -470,8 +457,8 @@ func (s *Server) replyFrame(c *conn, corrID uint64, resp wire.Response, tracked 
 	s.emit(obs.Event{Kind: obs.KindRPCReply, From: c.serial, Code: uint8(resp.Status), OK: resp.Status == wire.StatusOK})
 }
 
-// execute runs one request against the guardian (or, for the rep.*
-// ops, against the hosted backup).
+// execute runs one request against the guardian serving req.Shard
+// (or, for the rep.* ops and OpPromote, the receiver hosted there).
 func (s *Server) execute(req wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpPing:
@@ -494,11 +481,6 @@ func (s *Server) execute(req wire.Request) wire.Response {
 	g, miss := s.resolve(req.Shard)
 	if miss != nil {
 		return *miss
-	}
-	if g == nil {
-		// A backup serves nothing until promoted; the client's retry
-		// loop rides out the failover window.
-		return wire.Response{Status: wire.StatusRetry, Err: "backup not promoted"}
 	}
 	switch req.Op {
 	case wire.OpInvoke:
@@ -544,15 +526,17 @@ func (s *Server) execute(req wire.Request) wire.Response {
 	}
 }
 
-// replicate dispatches one rep.* op to the hosted backup. The ack —
-// including the in-band refusal, which is an ack that did not advance
-// — is a StatusOK response carrying the encoded RepAck; only an
-// apply/force failure on the backup's own log is an error.
+// replicate dispatches one rep.* op to the receiver hosted at
+// req.Shard. The ack — including the in-band refusal, which is an ack
+// that did not advance — is a StatusOK response carrying the encoded
+// RepAck; only an apply/force failure on the receiver's own log is an
+// error.
 func (s *Server) replicate(req wire.Request) wire.Response {
-	b := s.cfg.Backup
-	if b == nil {
+	h, _ := s.lookup(req.Shard)
+	if h == nil || h.b == nil {
 		return wire.Response{Status: wire.StatusBadRequest, Err: "not a backup"}
 	}
+	b := h.b
 	var ack wire.RepAck
 	var err error
 	switch req.Op {
@@ -581,61 +565,48 @@ func (s *Server) replicate(req wire.Request) wire.Response {
 	return wire.Response{Status: wire.StatusOK, Result: wire.EncodeRepAck(ack)}
 }
 
-// status answers OpStatus: the Config.Status hook when set (a
-// primary's rosd wires replog.Primary.Status there), else the hosted
-// backup's report, else a standalone report from the served guardian's
-// own log.
+// status answers the node-level row of OpStatus: the Config.Status hook
+// when set (a primary's rosd wires replog.Primary.Status there), else
+// shard 0's receiver's report, else a standalone report from shard 0's
+// guardian's own log.
 func (s *Server) status() wire.RepStatus {
 	if s.cfg.Status != nil {
 		return s.cfg.Status()
 	}
-	if s.cfg.Backup != nil {
-		return s.cfg.Backup.Status()
+	h, g := s.lookup(0)
+	if h != nil && h.b != nil {
+		return h.b.Status()
 	}
-	st := wire.RepStatus{Role: wire.RoleStandalone}
-	if g := s.guardian(); g != nil {
-		if site := g.Site(); site != nil {
-			st.Durable, _ = site.Log().TailInfo()
-			st.QuorumBytes = st.Durable
-		}
-	}
-	return st
+	durable := durableOf(g)
+	return wire.RepStatus{Role: wire.RoleStandalone, Durable: durable, QuorumBytes: durable}
 }
 
-// promote makes the hosted backup take over: bump its epoch (fencing
-// the deposed primary), run crash recovery over the received prefix,
-// and install the recovered guardian as the served one. Idempotent —
-// a repeated promote re-answers the post-takeover status. A request
-// carrying a RepPromote floor is refused when the backup's received
-// prefix falls short of it: the operator is naming the deposed
-// primary's last quorum-acked boundary, and promoting a shorter
-// candidate would silently discard an acknowledged commit that lives
-// only on some other copy.
+// promote makes the receiver hosted at req.Shard take over: bump its
+// epoch (fencing the deposed primary), run crash recovery over the
+// received prefix, and adopt the recovered guardian as the one the
+// shard serves. Idempotent — a repeated promote re-answers the
+// post-takeover status. A request carrying a RepPromote floor is
+// refused when the receiver's prefix falls short of it: the operator is
+// naming the deposed primary's last quorum-acked boundary, and
+// promoting a shorter candidate would silently discard an acknowledged
+// commit that lives only on some other copy.
 func (s *Server) promote(req wire.Request) wire.Response {
-	b := s.cfg.Backup
-	if b == nil {
+	h, _ := s.lookup(req.Shard)
+	if h == nil || h.b == nil {
 		return wire.Response{Status: wire.StatusBadRequest, Err: "not a backup"}
 	}
 	floor, err := wire.DecodeRepPromote(req.Arg)
 	if err != nil {
 		return wire.Response{Status: wire.StatusBadRequest, Err: err.Error()}
 	}
-	if !b.Promoted() {
-		if durable := b.Status().Durable; durable < floor.MinDurable {
+	if !h.b.Promoted() {
+		if durable := h.b.Status().Durable; durable < floor.MinDurable {
 			return wire.Response{Status: wire.StatusError,
 				Err: fmt.Sprintf("refusing promotion: candidate holds %d durable bytes, below the required quorum-acked %d; a longer copy exists elsewhere (promote without a floor to force)", durable, floor.MinDurable)}
 		}
 	}
-	g, err := b.Promote()
-	if err != nil {
+	if _, err := s.adopt(req.Shard, h); err != nil {
 		return wire.Response{Status: wire.StatusError, Err: err.Error()}
-	}
-	s.gmu.Lock()
-	installed := s.g != g
-	s.g = g
-	s.gmu.Unlock()
-	if installed && s.cfg.OnPromote != nil {
-		s.cfg.OnPromote(g)
 	}
 	return wire.Response{Status: wire.StatusOK, Result: wire.EncodeRepStatus(s.status())}
 }
@@ -706,18 +677,18 @@ func failure(err error) wire.Response {
 	return wire.Response{Status: wire.StatusError, Err: err.Error()}
 }
 
-// Guardian returns the served guardian (nil on a backup server before
-// promotion).
-func (s *Server) Guardian() *guardian.Guardian { return s.guardian() }
+// Guardian returns the guardian shard 0 serves (nil when the node
+// hosts none there, or a backup not yet promoted).
+func (s *Server) Guardian() *guardian.Guardian { _, g := s.lookup(0); return g }
 
-// ID returns the served guardian's id — for an unpromoted backup
-// server, the backup's own id.
+// ID returns the id of shard 0's guardian — for an unpromoted backup,
+// the receiver's own id; zero on a node that hosts nothing there.
 func (s *Server) ID() ids.GuardianID {
-	if g := s.guardian(); g != nil {
+	switch h, g := s.lookup(0); {
+	case g != nil:
 		return g.ID()
-	}
-	if s.cfg.Backup != nil {
-		return s.cfg.Backup.ID()
+	case h != nil:
+		return h.b.ID()
 	}
 	return 0
 }

@@ -71,11 +71,18 @@ func registerCounter(g *guardian.Guardian) {
 // it with its address.
 func startServer(t *testing.T, g *guardian.Guardian, cfg Config) (*Server, string) {
 	t.Helper()
+	s := New(g, cfg)
+	return s, serve(t, s)
+}
+
+// serve runs an already-built server on a loopback listener, closing it
+// when the test ends.
+func serve(t *testing.T, s *Server) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(g, cfg)
 	go func() {
 		if err := s.Serve(ln); !errors.Is(err, ErrClosed) {
 			t.Errorf("Serve: %v", err)
@@ -86,7 +93,7 @@ func startServer(t *testing.T, g *guardian.Guardian, cfg Config) (*Server, strin
 			t.Errorf("Close: %v", err)
 		}
 	})
-	return s, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 // raw is a test client speaking the wire protocol directly; the real
@@ -564,5 +571,36 @@ func TestDrainUnderLoad(t *testing.T) {
 			t.Fatalf("goroutines: %d before, %d after drain\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCloseRacesServe closes servers whose Serve goroutine has barely
+// started, half of them with a connection arriving: the drain's waits
+// on the worker and reader groups must be ordered after the Adds that
+// Serve performs (both happen under mu), and a reader that re-arms its
+// idle deadline after the drain's kick must still see the drain. Run
+// with -race: the misuse shows as a data race on the WaitGroup, the
+// lost kick as a two-minute stall.
+func TestCloseRacesServe(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(nil, Config{})
+		done := make(chan error, 1)
+		go func() { done <- s.Serve(ln) }()
+		if i%2 == 0 {
+			if nc, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+				defer nc.Close()
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ln.Close() // Serve never reached Accept's listener if Close won the race
+		if err := <-done; !errors.Is(err, ErrClosed) {
+			t.Fatalf("Serve: %v, want ErrClosed", err)
+		}
 	}
 }

@@ -48,16 +48,16 @@ func TestShardDispatchAndWrongShard(t *testing.T) {
 	}
 
 	c := dialRaw(t, addr)
-	// Shard 0 is the default guardian; shard 2 its own.
+	// Shard 0 is the guardian New was handed; shard 2 its own.
 	if got := unflatInt(t, c.mustOK(t, wire.Request{Op: wire.OpInvoke, Handler: "incr", Arg: flatInt(1)}).Result); got != 1 {
-		t.Fatalf("default-shard incr = %d, want 1", got)
+		t.Fatalf("shard-0 incr = %d, want 1", got)
 	}
 	if got := unflatInt(t, c.mustOK(t, wire.Request{Op: wire.OpInvoke, Shard: 2, Handler: "incr", Arg: flatInt(5)}).Result); got != 5 {
 		t.Fatalf("shard-2 incr = %d, want 5", got)
 	}
 	// The two counters are distinct guardians.
 	if got := unflatInt(t, c.mustOK(t, wire.Request{Op: wire.OpInvoke, Handler: "get"}).Result); got != 1 {
-		t.Fatalf("default counter = %d, want 1", got)
+		t.Fatalf("shard-0 counter = %d, want 1", got)
 	}
 
 	// Unhosted shards — in the table or not — refuse with the table.
@@ -76,6 +76,25 @@ func TestShardDispatchAndWrongShard(t *testing.T) {
 		if got.Version != 1 || len(got.Shards) != 2 {
 			t.Fatalf("in-band table = %+v, want v1 with 2 shards", got)
 		}
+	}
+
+	// Shard 0 is an entry like any other: a node that hosts only routed
+	// shards refuses it the same way, so an unrouted client learns the
+	// table at once instead of spending its retry budget on StatusRetry.
+	only, onlyAddr := startServer(t, nil, Config{})
+	only.AddShard(2, newCounterGuardian(t, 2))
+	if err := only.InstallTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	plain := client.New(onlyAddr, fastOpts())
+	t.Cleanup(func() { plain.Close() })
+	_, err := plain.Invoke("get", nil)
+	var wse *client.WrongShardError
+	if !errors.As(err, &wse) {
+		t.Fatalf("shard-0 invoke on a shards-only node err = %v, want the wrong-shard refusal", err)
+	}
+	if got, err := wse.Table(); err != nil || got.Version != 1 || len(got.Shards) != 2 {
+		t.Fatalf("shard-0 refusal carries table %+v (%v), want v1 with 2 shards", got, err)
 	}
 }
 

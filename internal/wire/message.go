@@ -193,11 +193,12 @@ type Request struct {
 	// Outcome, and optionally for OpInvoke (join instead of a fresh
 	// top-level action).
 	AID ids.ActionID
-	// Shard addresses the guardian that must execute the request on a
-	// node hosting several (a shard registry). Zero addresses the
-	// node's default guardian — the pre-sharding wire contract, which
-	// every old client still speaks. A node that does not host the
-	// named shard answers StatusWrongShard without touching state.
+	// Shard addresses the registry entry that must execute the request:
+	// a nonzero id is a routed keyspace slice, zero the node's one
+	// unrouted shard (a standalone or replicated guardian, a failover
+	// backup) — what every pre-sharding client sends. A node that does
+	// not host the named shard, zero included, answers StatusWrongShard
+	// without touching state.
 	Shard uint32
 	// Handler names the invoked handler (OpInvoke), or the read key
 	// (OpGet).

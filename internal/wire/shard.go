@@ -73,13 +73,14 @@ type ShardStatus struct {
 }
 
 // StatusReport answers OpStatus: the node-level replication report
-// plus one row per hosted shard. A node hosting only its default
-// guardian reports no shard rows — the pre-sharding report, extended.
+// plus one row per routed shard the node serves. A node hosting only
+// shard 0 reports no shard rows — the pre-sharding report, extended.
 type StatusReport struct {
-	// Rep is the node's replication role and health (the default
-	// guardian's, on nodes that also host shards).
+	// Rep is shard 0's replication role and health (a standalone row
+	// with no log on a node that hosts nothing there); its idx.*
+	// counters aggregate every guardian the node serves.
 	Rep RepStatus
-	// Shards lists every hosted shard in ascending id order.
+	// Shards lists every served nonzero shard in ascending id order.
 	Shards []ShardStatus
 }
 
