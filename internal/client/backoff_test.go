@@ -40,7 +40,7 @@ func TestBackoffUpperBound(t *testing.T) {
 		80 * time.Millisecond,
 	}
 	for i, w := range want {
-		if got := c.backoff(i + 1); got != w {
+		if got := c.opt.backoff(i + 1); got != w {
 			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
@@ -73,7 +73,7 @@ func TestBackoffJitterWithinBounds(t *testing.T) {
 			d = cap
 		}
 		for draw := 0; draw < 200; draw++ {
-			got := c.backoff(n)
+			got := c.opt.backoff(n)
 			if got < d/2 || got > d {
 				t.Fatalf("backoff(%d) = %v outside [%v, %v]", n, got, d/2, d)
 			}
@@ -91,11 +91,11 @@ func TestBackoffJitterWithinBounds(t *testing.T) {
 func TestBackoffDefaultsBounded(t *testing.T) {
 	c := New("x", Options{Clock: newFakeClock(), Rand: maxRand{}})
 	for _, n := range []int{1, 4, 16, 63} {
-		if got := c.backoff(n); got > 500*time.Millisecond {
+		if got := c.opt.backoff(n); got > 500*time.Millisecond {
 			t.Fatalf("backoff(%d) = %v exceeds the 500ms default cap", n, got)
 		}
 	}
-	if got := c.backoff(1); got != 10*time.Millisecond {
+	if got := c.opt.backoff(1); got != 10*time.Millisecond {
 		t.Fatalf("backoff(1) = %v, want the 10ms default base", got)
 	}
 }

@@ -1,9 +1,12 @@
-// Pipelined batching: several requests written to one connection in a
-// single buffered write, answers collected by correlation id. The
-// server counts the dispatches and coalesces the response frames into
-// one write of its own, so a batch of N requests costs two syscalls on
-// each side instead of 2N — the wire-level analogue of group commit
-// (experiment E16 measures the effect on read throughput).
+// The transport: the pipelined exchange is the only way a request
+// leaves this package. roundTrip writes a set of requests to one
+// connection in a single buffered write and collects the answers by
+// correlation id; doBatch is the one retry loop around it; DoBatch and
+// Do (the batch of one, byte-identical on the wire to a lone frame) are
+// its two exported faces. The server counts the dispatches and
+// coalesces the response frames into one write of its own, so a batch
+// of N requests costs two syscalls on each side instead of 2N — the
+// wire-level analogue of group commit.
 //
 // Batching changes no semantics: each request is still one independent
 // operation with the transport contract's retry rules. A batch is NOT
@@ -12,180 +15,159 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"net"
 
 	"repro/internal/obs"
-	"repro/internal/value"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Get reads the committed value bound to a stable-variable key on the
-// node's shard 0: the index-served read path (OpGet). A key no
-// variable binds fails wrapping wire.ErrRemote ("no such key").
-func (c *Client) Get(key string) (value.Value, error) { return c.GetShard(0, key) }
-
-// GetShard is Get addressed to a shard's guardian.
-func (c *Client) GetShard(sh uint32, key string) (value.Value, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpGet, Shard: sh, Handler: key})
-	if err != nil {
-		return nil, err
+// connErr classifies an I/O failure, emitting rpc.timeout for a
+// missed deadline.
+func (c *Client) connErr(op string, err error) error {
+	var nerr net.Error
+	if errors.As(err, &nerr) && nerr.Timeout() {
+		c.emit(obs.Event{Kind: obs.KindRPCTimeout, Note: op + " " + c.addr})
 	}
-	if err := remoteErr(resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Result) == 0 {
-		return nil, nil
-	}
-	v, err := value.Unflatten(resp.Result)
-	if err != nil {
-		return nil, fmt.Errorf("client: result: %w", err)
-	}
-	return v, nil
+	return fmt.Errorf("%w: %s %s: %v", ErrUnreachable, op, c.addr, err)
 }
 
-// DoBatch pipelines reqs over one pooled connection: all requests go
-// out in a single write, and responses (which the server may answer
-// out of order) are matched back by correlation id. Connection-level
-// failures retry the whole outstanding batch; StatusRetry verdicts
-// retry only the requests that drew them. Exhausting the attempt
+// roundTrip runs one pipelined exchange on one connection: reqs[i] for
+// every i in rows goes out in a single write, and the answers — which
+// the server may send in any order — land in out[i], matched by
+// correlation id. The round reserves len(rows) consecutive ids, so the
+// j-th frame's id names rows[j] without a lookup table, and a zeroed
+// out row (no status is zero on the wire) marks "not yet answered",
+// which is what catches a duplicate. Any failure once a connection is
+// taken wraps ErrUnreachable and discards the connection; an oversized
+// request fails before one is taken, with no byte sent.
+func (c *Client) roundTrip(reqs []wire.Request, rows []int, out []wire.Response) (err error) {
+	n := uint64(len(rows))
+	base := c.corr.Add(n) - n
+	var buf []byte
+	for j, i := range rows {
+		payload := wire.EncodeRequest(reqs[i])
+		if buf == nil {
+			// Exact for a batch of one, a close guess for a batch of
+			// like requests.
+			buf = make([]byte, 0, len(rows)*(wire.HeaderSize+len(payload)+wire.TrailerSize))
+		}
+		buf, err = wire.AppendFrame(buf, wire.Frame{Type: wire.TypeRequest, CorrID: base + 1 + uint64(j), Payload: payload})
+		if err != nil {
+			return fmt.Errorf("client: request %d: %w", i, err)
+		}
+		out[i] = wire.Response{}
+	}
+	nc, err := c.conn()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err == nil {
+			c.release(nc)
+			return
+		}
+		// The stream's state is unknown: never pool it.
+		//roslint:besteffort the connection is already being discarded for the observed exchange error
+		_ = nc.Close()
+	}()
+	// One deadline covers the whole round: the server answers each
+	// request as a worker finishes it, so a batch completes in about one
+	// round trip plus the slowest execution.
+	if err := nc.SetDeadline(c.opt.Clock.Now().Add(c.opt.CallTimeout)); err != nil {
+		return fmt.Errorf("%w: deadline: %v", ErrUnreachable, err)
+	}
+	if _, err := nc.Write(buf); err != nil {
+		return c.connErr("write", err)
+	}
+	for range rows {
+		f, err := wire.ReadFrame(nc)
+		if err != nil {
+			return c.connErr("read", err)
+		}
+		j := f.CorrID - base - 1
+		if f.Type != wire.TypeResponse || j >= n || out[rows[j]].Status != 0 {
+			return fmt.Errorf("%w: %s: stream desynchronized (frame type %d, corr %d unexpected)",
+				ErrUnreachable, c.addr, f.Type, f.CorrID)
+		}
+		if out[rows[j]], err = wire.DecodeResponse(f.Payload); err != nil {
+			return fmt.Errorf("%w: %s: %v", ErrUnreachable, c.addr, err)
+		}
+	}
+	return nil
+}
+
+// doBatch is the client's one retry loop: it runs roundTrip until every
+// row of out holds a verdict other than StatusRetry or the attempt
+// budget is spent, backing off between rounds. rows arrives as the
+// identity over reqs and is filtered in place: a connection-level
+// failure re-sends every row still in it, a StatusRetry verdict keeps
+// only the rows that drew one. A spent budget returns nil when the last
+// round was answered — the StatusRetry rows left in out say which
+// requests never landed — and the connection-level error when it was
+// not. An error no retry can cure (ErrClosed, an oversized request)
+// returns at once.
+func (c *Client) doBatch(reqs []wire.Request, rows []int, out []wire.Response) error {
+	for attempt := 1; ; attempt++ {
+		err := c.roundTrip(reqs, rows, out)
+		if err != nil && !errors.Is(err, transport.ErrUnreachable) {
+			return err
+		}
+		last := err
+		if err == nil {
+			busy := rows[:0]
+			for _, i := range rows {
+				if out[i].Status == wire.StatusRetry {
+					busy = append(busy, i)
+				}
+			}
+			if rows = busy; len(rows) == 0 {
+				return nil
+			}
+			last = fmt.Errorf("%w: %s", ErrBusy, out[rows[0]].Err)
+		}
+		if attempt >= c.opt.MaxAttempts {
+			return err
+		}
+		c.emit(obs.Event{Kind: obs.KindRPCRetry, Code: uint8(attempt), Note: last.Error()})
+		c.opt.Clock.Sleep(c.opt.backoff(attempt))
+	}
+}
+
+// DoBatch pipelines reqs over one pooled connection and returns one
+// response per request, position-matched. Exhausting the attempt
 // budget on transient verdicts returns the responses as they stand —
-// StatusRetry rows included, position-matched to reqs — so the caller
-// sees exactly which requests never landed; only a final
-// connection-level failure returns an error.
+// StatusRetry rows included — so the caller sees exactly which requests
+// never landed; only a final connection-level failure, or a permanent
+// local one, returns an error.
 func (c *Client) DoBatch(reqs []wire.Request) ([]wire.Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
 	out := make([]wire.Response, len(reqs))
-	pending := make([]int, len(reqs)) // indices into reqs/out awaiting a verdict
-	for i := range pending {
-		pending[i] = i
+	rows := make([]int, len(reqs))
+	for i := range rows {
+		rows[i] = i
 	}
-	var last error
-	for attempt := 1; ; attempt++ {
-		batch := make([]wire.Request, len(pending))
-		for j, i := range pending {
-			batch[j] = reqs[i]
-		}
-		resps, err := c.attemptBatch(batch)
-		if err == nil {
-			var retry []int
-			for j, i := range pending {
-				out[i] = resps[j]
-				if resps[j].Status == wire.StatusRetry {
-					retry = append(retry, i)
-				}
-			}
-			if len(retry) == 0 {
-				return out, nil
-			}
-			pending = retry
-			last = fmt.Errorf("%w: %s", ErrBusy, out[retry[0]].Err)
-		} else {
-			last = err
-		}
-		if attempt >= c.opt.MaxAttempts {
-			if err != nil {
-				return nil, last
-			}
-			// Transient verdicts exhausted the budget: the per-request
-			// StatusRetry rows tell the caller which requests never ran.
-			return out, nil
-		}
-		c.emit(obs.Event{Kind: obs.KindRPCRetry, Code: uint8(attempt), Note: last.Error()})
-		c.opt.Clock.Sleep(c.backoff(attempt))
-	}
-}
-
-// attemptBatch runs one pipelined exchange on one connection.
-func (c *Client) attemptBatch(reqs []wire.Request) ([]wire.Response, error) {
-	nc, err := c.conn()
-	if err != nil {
+	if err := c.doBatch(reqs, rows, out); err != nil {
 		return nil, err
-	}
-	resps, err := c.exchangeBatch(nc, reqs)
-	if err != nil {
-		// The stream's state is unknown: never pool it.
-		//roslint:besteffort the connection is already being discarded for the observed exchange error
-		_ = nc.Close()
-		return nil, err
-	}
-	c.release(nc)
-	return resps, nil
-}
-
-func (c *Client) exchangeBatch(nc net.Conn, reqs []wire.Request) ([]wire.Response, error) {
-	want := make(map[uint64]int, len(reqs))
-	var buf []byte
-	for i, req := range reqs {
-		corr := c.corr.Add(1)
-		want[corr] = i
-		b, err := wire.AppendFrame(buf, wire.Frame{Type: wire.TypeRequest, CorrID: corr, Payload: wire.EncodeRequest(req)})
-		if err != nil {
-			return nil, fmt.Errorf("client: batch request %d: %w", i, err)
-		}
-		buf = b
-	}
-	// One deadline covers the whole batch: the server answers each
-	// request as a worker finishes it, so the batch completes in about
-	// one round trip plus the slowest execution.
-	if err := nc.SetDeadline(c.opt.Clock.Now().Add(c.opt.CallTimeout)); err != nil {
-		return nil, fmt.Errorf("%w: deadline: %v", ErrUnreachable, err)
-	}
-	if _, err := nc.Write(buf); err != nil {
-		return nil, c.connErr("write", err)
-	}
-	out := make([]wire.Response, len(reqs))
-	for n := 0; n < len(reqs); n++ {
-		f, err := wire.ReadFrame(nc)
-		if err != nil {
-			return nil, c.connErr("read", err)
-		}
-		i, ok := want[f.CorrID]
-		if f.Type != wire.TypeResponse || !ok {
-			return nil, fmt.Errorf("%w: %s: stream desynchronized (frame type %d, corr %d unexpected)",
-				ErrUnreachable, c.addr, f.Type, f.CorrID)
-		}
-		delete(want, f.CorrID)
-		resp, err := wire.DecodeResponse(f.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, c.addr, err)
-		}
-		out[i] = resp
 	}
 	return out, nil
 }
 
-// GetBatch pipelines reads of several keys (shard 0) and
-// returns one value per key, position-matched. Any per-key failure —
-// including a key that stayed StatusRetry through the budget — fails
-// the call, naming the key.
-func (c *Client) GetBatch(keys []string) ([]value.Value, error) {
-	reqs := make([]wire.Request, len(keys))
-	for i, k := range keys {
-		reqs[i] = wire.Request{Op: wire.OpGet, Handler: k}
+// Do sends one request as the batch of one. The returned response never
+// has StatusRetry: exhausting the budget yields an error wrapping
+// ErrBusy (the last verdict was StatusRetry) or transport.ErrUnreachable
+// (the last failure was below the reply).
+func (c *Client) Do(req wire.Request) (wire.Response, error) {
+	var out [1]wire.Response
+	if err := c.doBatch([]wire.Request{req}, []int{0}, out[:]); err != nil {
+		return wire.Response{}, err
 	}
-	resps, err := c.DoBatch(reqs)
-	if err != nil {
-		return nil, err
+	if out[0].Status == wire.StatusRetry {
+		return wire.Response{}, fmt.Errorf("%w: %s", ErrBusy, out[0].Err)
 	}
-	vals := make([]value.Value, len(keys))
-	for i, resp := range resps {
-		if resp.Status == wire.StatusRetry {
-			return nil, fmt.Errorf("client: get %q: %w: %s", keys[i], ErrBusy, resp.Err)
-		}
-		if err := remoteErr(resp); err != nil {
-			return nil, fmt.Errorf("client: get %q: %w", keys[i], err)
-		}
-		if len(resp.Result) == 0 {
-			continue
-		}
-		v, err := value.Unflatten(resp.Result)
-		if err != nil {
-			return nil, fmt.Errorf("client: get %q: result: %w", keys[i], err)
-		}
-		vals[i] = v
-	}
-	return vals, nil
+	return out[0], nil
 }

@@ -1,6 +1,19 @@
 // Package client is the rosd client: a connection-pooled, retrying
 // caller of one server over the internal/wire protocol.
 //
+// There is one call path. roundTrip (batch.go) is the only exchange:
+// a set of requests in one write on one pooled connection, answers
+// matched by correlation id, the connection discarded on any failure.
+// doBatch is the only retry loop; DoBatch and Do — the batch of one —
+// are its exported faces. call is Do plus the one mapping from a non-OK
+// verdict to an error, and every typed method is a request literal
+// handed to call, or to decoded when the reply carries a result to
+// parse. The typed methods are shard-addressed (shard.go); Invoke,
+// InvokeJoin, Get and GetBatch remain as shard-0 shorthands because
+// they have callers. Routed (routed.go) adds the key-addressed layer
+// on top: pick the owning shard from the routing table, call, and
+// correct the route on a wrong-shard refusal.
+//
 // Retry policy follows the transport contract (internal/transport):
 // a failure below the reply — dial refused, connection reset, deadline
 // missed, stream desynchronized — means the request MAY have executed,
@@ -9,11 +22,13 @@
 // a complete atomic action whose repeat is a new action, and the 2PC
 // messages are idempotent by protocol design, §2.2.2). Transient
 // server verdicts (StatusRetry: lock conflicts, drain) retry the same
-// way. Backoff is capped exponential with jitter in [d/2, d], and all
-// time and randomness flow through the injected Clock and Rand — the
-// determinism analyzer enforces that this package never reads the wall
-// clock or the global rand source directly, so backoff schedules are
-// replayable in tests.
+// way; a failure no retry can cure — the client is closed, the request
+// is too large to frame — returns at once, and not as "may have
+// executed", since nothing was sent. Backoff is capped exponential
+// with jitter in [d/2, d], and all time and randomness flow through the
+// injected Clock and Rand — the determinism analyzer enforces that this
+// package never reads the wall clock or the global rand source
+// directly, so backoff schedules are replayable in tests.
 package client
 
 import (
@@ -27,7 +42,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/transport"
-	"repro/internal/twopc"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -182,96 +196,20 @@ func (c *Client) release(nc net.Conn) {
 	_ = nc.Close()
 }
 
-// attempt runs one request/response exchange on one connection.
-func (c *Client) attempt(req wire.Request) (wire.Response, error) {
-	nc, err := c.conn()
-	if err != nil {
-		return wire.Response{}, err
-	}
-	resp, err := c.exchange(nc, req)
-	if err != nil {
-		// The stream's state is unknown: never pool it.
-		//roslint:besteffort the connection is already being discarded for the observed exchange error
-		_ = nc.Close()
-		return wire.Response{}, err
-	}
-	c.release(nc)
-	return resp, nil
-}
-
-func (c *Client) exchange(nc net.Conn, req wire.Request) (wire.Response, error) {
-	corr := c.corr.Add(1)
-	if err := nc.SetDeadline(c.opt.Clock.Now().Add(c.opt.CallTimeout)); err != nil {
-		return wire.Response{}, fmt.Errorf("%w: deadline: %v", ErrUnreachable, err)
-	}
-	if err := wire.WriteFrame(nc, wire.Frame{Type: wire.TypeRequest, CorrID: corr, Payload: wire.EncodeRequest(req)}); err != nil {
-		return wire.Response{}, c.connErr("write", err)
-	}
-	f, err := wire.ReadFrame(nc)
-	if err != nil {
-		return wire.Response{}, c.connErr("read", err)
-	}
-	if f.Type != wire.TypeResponse || f.CorrID != corr {
-		return wire.Response{}, fmt.Errorf("%w: %s: stream desynchronized (frame type %d, corr %d != %d)",
-			ErrUnreachable, c.addr, f.Type, f.CorrID, corr)
-	}
-	resp, err := wire.DecodeResponse(f.Payload)
-	if err != nil {
-		return wire.Response{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, c.addr, err)
-	}
-	return resp, nil
-}
-
-// connErr classifies an I/O failure, emitting rpc.timeout for a
-// missed deadline.
-func (c *Client) connErr(op string, err error) error {
-	var nerr net.Error
-	if errors.As(err, &nerr) && nerr.Timeout() {
-		c.emit(obs.Event{Kind: obs.KindRPCTimeout, Note: op + " " + c.addr})
-	}
-	return fmt.Errorf("%w: %s %s: %v", ErrUnreachable, op, c.addr, err)
-}
-
-// Do sends one request, retrying transient failures (connection-level
-// errors and StatusRetry verdicts) with capped exponential backoff and
-// jitter. The returned response never has StatusRetry; exhausting the
-// budget on transient failures yields an error wrapping ErrBusy (all
-// verdicts were StatusRetry) or transport.ErrUnreachable (the last
-// failure was below the reply).
-func (c *Client) Do(req wire.Request) (wire.Response, error) {
-	var last error
-	for attempt := 1; ; attempt++ {
-		resp, err := c.attempt(req)
-		if err == nil && resp.Status != wire.StatusRetry {
-			return resp, nil
-		}
-		if err != nil {
-			last = err
-		} else {
-			last = fmt.Errorf("%w: %s", ErrBusy, resp.Err)
-		}
-		if attempt >= c.opt.MaxAttempts {
-			return wire.Response{}, last
-		}
-		c.emit(obs.Event{Kind: obs.KindRPCRetry, Code: uint8(attempt), Note: last.Error()})
-		c.opt.Clock.Sleep(c.backoff(attempt))
-	}
-}
-
 // backoff returns the pause after the n-th failed attempt (n ≥ 1):
 // BaseBackoff doubling per failure, capped at MaxBackoff, jittered
 // uniformly into [d/2, d] so synchronized clients spread out without
 // ever retrying immediately.
-func (c *Client) backoff(n int) time.Duration {
-	d := c.opt.BaseBackoff
-	for i := 1; i < n && d < c.opt.MaxBackoff; i++ {
+func (o Options) backoff(n int) time.Duration {
+	d := o.BaseBackoff
+	for i := 1; i < n && d < o.MaxBackoff; i++ {
 		d *= 2
 	}
-	if d > c.opt.MaxBackoff {
-		d = c.opt.MaxBackoff
+	if d > o.MaxBackoff {
+		d = o.MaxBackoff
 	}
 	half := d / 2
-	return half + time.Duration(c.opt.Rand.Int63n(int64(half)+1))
+	return half + time.Duration(o.Rand.Int63n(int64(half)+1))
 }
 
 // remoteErr maps a non-OK verdict to an error wrapping wire.ErrRemote.
@@ -288,109 +226,92 @@ func remoteErr(resp wire.Response) error {
 	return fmt.Errorf("%w: %s: %s", wire.ErrRemote, resp.Status, resp.Err)
 }
 
-// Ping checks the server is reachable and serving.
-func (c *Client) Ping() error {
-	resp, err := c.Do(wire.Request{Op: wire.OpPing})
-	if err != nil {
-		return err
-	}
-	return remoteErr(resp)
-}
-
-// Invoke calls a handler as a complete server-side atomic action and
-// returns its result.
-func (c *Client) Invoke(handler string, arg value.Value) (value.Value, error) {
-	return c.invoke(0, ids.ActionID{}, handler, arg)
-}
-
-// InvokeJoin calls a handler as a subaction of the caller's action
-// aid; the server's guardian joins the action and stays a participant
-// for its two-phase commit.
-func (c *Client) InvokeJoin(aid ids.ActionID, handler string, arg value.Value) (value.Value, error) {
-	return c.invoke(0, aid, handler, arg)
-}
-
-func (c *Client) invoke(sh uint32, aid ids.ActionID, handler string, arg value.Value) (value.Value, error) {
-	req := wire.Request{Op: wire.OpInvoke, AID: aid, Shard: sh, Handler: handler}
-	if arg != nil {
-		req.Arg = value.Flatten(arg, func(value.Obj) {})
-	}
+// call is Do plus the one verdict mapping: every typed method here, in
+// shard.go and in rep.go, and the routed layer, sends through it.
+func (c *Client) call(req wire.Request) (wire.Response, error) {
 	resp, err := c.Do(req)
+	if err == nil {
+		err = remoteErr(resp)
+	}
 	if err != nil {
-		return nil, err
+		return wire.Response{}, err
 	}
-	if err := remoteErr(resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Result) == 0 {
-		return nil, nil
-	}
-	v, err := value.Unflatten(resp.Result)
+	return resp, nil
+}
+
+// decoded is call plus the reply's Result parsed by decode; what names
+// the reply in a parse failure.
+func decoded[T any](c *Client, req wire.Request, what string, decode func([]byte) (T, error)) (T, error) {
+	var zero T
+	resp, err := c.call(req)
 	if err != nil {
-		return nil, fmt.Errorf("client: result: %w", err)
+		return zero, err
+	}
+	v, err := decode(resp.Result)
+	if err != nil {
+		return zero, fmt.Errorf("client: %s: %w", what, err)
 	}
 	return v, nil
 }
 
-// Prepare delivers a prepare message for aid and returns the vote.
-func (c *Client) Prepare(aid ids.ActionID) (twopc.Vote, error) {
-	return c.PrepareShard(0, aid)
+// unflatten parses a reply's flattened value; an empty result is nil.
+func unflatten(b []byte) (value.Value, error) {
+	if len(b) == 0 {
+		return nil, nil
+	}
+	return value.Unflatten(b)
 }
 
-// PrepareShard is Prepare addressed to a shard's guardian.
-func (c *Client) PrepareShard(sh uint32, aid ids.ActionID) (twopc.Vote, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpPrepare, AID: aid, Shard: sh})
+// Ping checks the server is reachable and serving.
+func (c *Client) Ping() error {
+	_, err := c.call(wire.Request{Op: wire.OpPing})
+	return err
+}
+
+// The shard-0 shorthands. The shard-addressed methods in shard.go are
+// the methods; these four stay because they have callers (the chaos
+// driver against unsharded nodes, the server and TCP-matrix tests).
+
+// Invoke calls a handler on the node's shard 0 as a complete
+// server-side atomic action and returns its result.
+func (c *Client) Invoke(handler string, arg value.Value) (value.Value, error) {
+	return c.InvokeShard(0, handler, arg)
+}
+
+// InvokeJoin calls a handler on the node's shard 0 as a subaction of
+// the caller's action aid.
+func (c *Client) InvokeJoin(aid ids.ActionID, handler string, arg value.Value) (value.Value, error) {
+	return c.InvokeJoinShard(0, aid, handler, arg)
+}
+
+// Get reads the committed value bound to a stable-variable key on the
+// node's shard 0.
+func (c *Client) Get(key string) (value.Value, error) { return c.GetShard(0, key) }
+
+// GetBatch pipelines reads of several keys (shard 0) and returns one
+// value per key, position-matched. Any per-key failure — including a
+// key that stayed StatusRetry through the budget — fails the call,
+// naming the key.
+func (c *Client) GetBatch(keys []string) ([]value.Value, error) {
+	reqs := make([]wire.Request, len(keys))
+	for i, k := range keys {
+		reqs[i] = wire.Request{Op: wire.OpGet, Handler: k}
+	}
+	resps, err := c.DoBatch(reqs)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if err := remoteErr(resp); err != nil {
-		return 0, err
+	vals := make([]value.Value, len(keys))
+	for i, resp := range resps {
+		if resp.Status == wire.StatusRetry {
+			return nil, fmt.Errorf("client: get %q: %w: %s", keys[i], ErrBusy, resp.Err)
+		}
+		if err := remoteErr(resp); err != nil {
+			return nil, fmt.Errorf("client: get %q: %w", keys[i], err)
+		}
+		if vals[i], err = unflatten(resp.Result); err != nil {
+			return nil, fmt.Errorf("client: get %q: result: %w", keys[i], err)
+		}
 	}
-	return twopc.Vote(resp.Vote), nil
-}
-
-// Commit delivers a commit message for aid.
-func (c *Client) Commit(aid ids.ActionID) error {
-	return c.CommitShard(0, aid)
-}
-
-// CommitShard is Commit addressed to a shard's guardian.
-func (c *Client) CommitShard(sh uint32, aid ids.ActionID) error {
-	resp, err := c.Do(wire.Request{Op: wire.OpCommit, AID: aid, Shard: sh})
-	if err != nil {
-		return err
-	}
-	return remoteErr(resp)
-}
-
-// Abort delivers an abort message for aid.
-func (c *Client) Abort(aid ids.ActionID) error {
-	return c.AbortShard(0, aid)
-}
-
-// AbortShard is Abort addressed to a shard's guardian.
-func (c *Client) AbortShard(sh uint32, aid ids.ActionID) error {
-	resp, err := c.Do(wire.Request{Op: wire.OpAbort, AID: aid, Shard: sh})
-	if err != nil {
-		return err
-	}
-	return remoteErr(resp)
-}
-
-// Outcome asks the server's guardian, as coordinator of aid, for the
-// action's fate.
-func (c *Client) Outcome(aid ids.ActionID) (twopc.Outcome, error) {
-	return c.OutcomeShard(0, aid)
-}
-
-// OutcomeShard is Outcome addressed to a shard's guardian.
-func (c *Client) OutcomeShard(sh uint32, aid ids.ActionID) (twopc.Outcome, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpOutcome, AID: aid, Shard: sh})
-	if err != nil {
-		return twopc.OutcomeUnknown, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return twopc.OutcomeUnknown, err
-	}
-	return twopc.Outcome(resp.Outcome), nil
+	return vals, nil
 }

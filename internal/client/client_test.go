@@ -280,9 +280,13 @@ func TestRemoteErrorNotRetried(t *testing.T) {
 	}
 }
 
+// TestClosedClient: ErrClosed is permanent, so it returns from the
+// first attempt — no backoff sleep, no rpc.retry event.
 func TestClosedClient(t *testing.T) {
 	sc := &script{respond: func(wire.Request) *wire.Response { return ok() }}
-	c := newTestClient(sc, newFakeClock(), &fakeRand{}, nil)
+	clk := newFakeClock()
+	rec := &obs.Recorder{}
+	c := newTestClient(sc, clk, &fakeRand{}, rec)
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +295,30 @@ func TestClosedClient(t *testing.T) {
 	}
 	if err := c.Ping(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if got := clk.slept(); len(got) != 0 {
+		t.Fatalf("slept %v before reporting ErrClosed", got)
+	}
+	if rec.Len() != 0 {
+		t.Fatalf("events on a closed client: %s", rec.Text())
+	}
+}
+
+// TestOversizeRequestNotRetried: a request too large to frame fails
+// before a connection is taken. Nothing was sent, so the error must not
+// claim "may have executed" (ErrUnreachable), and no retry can cure it.
+func TestOversizeRequestNotRetried(t *testing.T) {
+	sc := &script{respond: func(wire.Request) *wire.Response { return ok() }}
+	clk := newFakeClock()
+	rec := &obs.Recorder{}
+	c := newTestClient(sc, clk, &fakeRand{}, rec)
+	_, err := c.Do(wire.Request{Op: wire.OpInvoke, Handler: "put", Arg: make([]byte, wire.MaxPayload+1)})
+	if !errors.Is(err, wire.ErrOversize) || errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("err = %v, want wire.ErrOversize and not ErrUnreachable", err)
+	}
+	if sc.dialCount() != 0 || len(clk.slept()) != 0 || rec.Len() != 0 {
+		t.Fatalf("oversize request dialed %d times, slept %v, emitted %d events; want one attempt that sends nothing",
+			sc.dialCount(), clk.slept(), rec.Len())
 	}
 }
 
@@ -312,7 +340,7 @@ func TestBackoffCaps(t *testing.T) {
 		{5, 40 * time.Millisecond}, // capped
 		{9, 40 * time.Millisecond},
 	} {
-		if got := c.backoff(tc.n); got != tc.want {
+		if got := c.opt.backoff(tc.n); got != tc.want {
 			t.Fatalf("backoff(%d) = %v, want %v", tc.n, got, tc.want)
 		}
 	}

@@ -12,54 +12,29 @@ import (
 // idempotent by construction — a re-sent append whose first delivery
 // was applied is refused in-band (the ack's durable offset names the
 // actual tail) and the primary adjusts its cursor — so the client's
-// ordinary retry loop is safe for them.
-
-// repCall sends one rep.* request and decodes the ack.
-func (c *Client) repCall(op wire.Op, arg []byte) (wire.RepAck, error) {
-	resp, err := c.Do(wire.Request{Op: op, Arg: arg})
-	if err != nil {
-		return wire.RepAck{}, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return wire.RepAck{}, err
-	}
-	ack, err := wire.DecodeRepAck(resp.Result)
-	if err != nil {
-		return wire.RepAck{}, fmt.Errorf("client: rep ack: %w", err)
-	}
-	return ack, nil
-}
+// one retry loop is safe for them. None of them sets Request.Shard yet:
+// the rep.* calls and Promote reach the receiver a node hosts as shard
+// 0, and Status's replication half reports that shard.
 
 // RepAppend ships a frame run to the server's hosted backup.
 func (c *Client) RepAppend(app wire.RepAppend) (wire.RepAck, error) {
-	return c.repCall(wire.OpRepAppend, wire.EncodeRepAppend(app))
+	return decoded(c, wire.Request{Op: wire.OpRepAppend, Arg: wire.EncodeRepAppend(app)}, "rep ack", wire.DecodeRepAck)
 }
 
 // RepHeartbeat probes the server's hosted backup.
 func (c *Client) RepHeartbeat(hb wire.RepHeartbeat) (wire.RepAck, error) {
-	return c.repCall(wire.OpRepHeartbeat, wire.EncodeRepHeartbeat(hb))
+	return decoded(c, wire.Request{Op: wire.OpRepHeartbeat, Arg: wire.EncodeRepHeartbeat(hb)}, "rep ack", wire.DecodeRepAck)
 }
 
 // RepSnapshot offers the server's hosted backup a snapshot reset.
 func (c *Client) RepSnapshot(snap wire.RepSnapshot) (wire.RepAck, error) {
-	return c.repCall(wire.OpRepSnapshot, wire.EncodeRepSnapshot(snap))
+	return decoded(c, wire.Request{Op: wire.OpRepSnapshot, Arg: wire.EncodeRepSnapshot(snap)}, "rep ack", wire.DecodeRepAck)
 }
 
 // Status reports the server's replication role and health plus one
 // row per hosted shard.
 func (c *Client) Status() (wire.StatusReport, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpStatus})
-	if err != nil {
-		return wire.StatusReport{}, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return wire.StatusReport{}, err
-	}
-	st, err := wire.DecodeStatusReport(resp.Result)
-	if err != nil {
-		return wire.StatusReport{}, fmt.Errorf("client: status: %w", err)
-	}
-	return st, nil
+	return decoded(c, wire.Request{Op: wire.OpStatus}, "status", wire.DecodeStatusReport)
 }
 
 // Promote tells the server's hosted backup to take over as the
@@ -68,7 +43,7 @@ func (c *Client) Status() (wire.StatusReport, error) {
 // candidate whose received prefix is shorter than the deposed
 // primary's last quorum-acked boundary.
 func (c *Client) Promote() (wire.RepStatus, error) {
-	return c.promote(nil)
+	return decoded(c, wire.Request{Op: wire.OpPromote}, "promote", wire.DecodeRepStatus)
 }
 
 // PromoteMin is Promote with a safety floor: the server refuses the
@@ -78,22 +53,8 @@ func (c *Client) Promote() (wire.RepStatus, error) {
 // lives only on a longer, currently unreachable copy cannot be
 // silently dropped by promoting the wrong survivor.
 func (c *Client) PromoteMin(minDurable uint64) (wire.RepStatus, error) {
-	return c.promote(wire.EncodeRepPromote(wire.RepPromote{MinDurable: minDurable}))
-}
-
-func (c *Client) promote(arg []byte) (wire.RepStatus, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpPromote, Arg: arg})
-	if err != nil {
-		return wire.RepStatus{}, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return wire.RepStatus{}, err
-	}
-	st, err := wire.DecodeRepStatus(resp.Result)
-	if err != nil {
-		return wire.RepStatus{}, fmt.Errorf("client: promote: %w", err)
-	}
-	return st, nil
+	arg := wire.EncodeRepPromote(wire.RepPromote{MinDurable: minDurable})
+	return decoded(c, wire.Request{Op: wire.OpPromote, Arg: arg}, "promote", wire.DecodeRepStatus)
 }
 
 // RemoteReplica is a client-side stub presenting a rosd server's

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/transport"
 	"repro/internal/value"
+	"repro/internal/wire"
 )
 
 // Routed is a table-aware client over a sharded cluster: it fetches
@@ -138,6 +138,9 @@ func (r *Routed) Install(t shard.Table) error {
 // Refresh polls every seed for its routing table and installs the
 // newest. It succeeds when at least one seed answers.
 func (r *Routed) Refresh() (shard.Table, error) {
+	if len(r.seeds) == 0 {
+		return shard.Table{}, errors.New("client: no seeds configured")
+	}
 	var best shard.Table
 	var found bool
 	var last error
@@ -171,29 +174,45 @@ func (r *Routed) tableOrRefresh() (shard.Table, error) {
 	return r.Refresh()
 }
 
-// call routes one key-addressed call, retrying wrong-shard refusals.
-// Each refusal hands back the refuser's table; call installs it, falls
-// back to a seed refresh when that made no progress, and re-routes.
-// The refusal happens before the server dispatches to any guardian, so
-// re-sending is always safe regardless of the wrapped operation.
-func (r *Routed) call(key string, fn func(c *Client, sh uint32) error) error {
+// call routes one key-addressed request: it addresses req to the shard
+// owning key, sends it to the node hosting that shard, and returns the
+// reply with the owner it came from. A wrong-shard refusal hands back
+// the refuser's table; call installs it, falls back to a seed refresh
+// when that made no progress, and re-routes. The refusal happens before
+// the server dispatches to any guardian, so re-sending is always safe
+// regardless of the operation.
+func (r *Routed) call(key string, req wire.Request) (wire.Response, shard.Shard, error) {
 	for attempt := 1; ; attempt++ {
 		tbl, err := r.tableOrRefresh()
 		if err != nil {
-			return err
+			return wire.Response{}, shard.Shard{}, err
 		}
 		owner := tbl.Owner(key)
-		err = fn(r.client(owner.Addr), uint32(owner.ID))
+		req.Shard = uint32(owner.ID)
+		resp, err := r.client(owner.Addr).call(req)
 		var wse *WrongShardError
 		if !errors.As(err, &wse) {
-			return err
+			return resp, owner, err
 		}
 		r.routeCorrection(uint64(owner.ID), tbl.Version, wse)
 		if attempt >= r.opt.MaxAttempts {
-			return fmt.Errorf("client: key %q still misrouted after %d attempts: %w", key, attempt, err)
+			return wire.Response{}, owner, fmt.Errorf("client: key %q still misrouted after %d attempts: %w", key, attempt, err)
 		}
-		r.opt.Clock.Sleep(r.backoffRoute(attempt))
+		r.opt.Clock.Sleep(r.opt.backoff(attempt))
 	}
+}
+
+// callValue is call for the requests whose reply is a flattened value.
+func (r *Routed) callValue(key string, req wire.Request) (value.Value, shard.Shard, error) {
+	resp, owner, err := r.call(key, req)
+	if err != nil {
+		return nil, owner, err
+	}
+	v, err := unflatten(resp.Result)
+	if err != nil {
+		return nil, owner, fmt.Errorf("client: result: %w", err)
+	}
+	return v, owner, nil
 }
 
 // routeCorrection digests one wrong-shard refusal: install the
@@ -215,39 +234,16 @@ func (r *Routed) routeCorrection(sh uint64, haveVersion uint64, wse *WrongShardE
 	_, _ = r.Refresh()
 }
 
-// backoffRoute paces wrong-shard retries exactly like the per-client
-// transport backoff.
-func (r *Routed) backoffRoute(n int) time.Duration {
-	c := Client{opt: r.opt}
-	return c.backoff(n)
-}
-
 // Get routes a read of key's committed value (OpGet, the index-served
 // path) to the shard owning key.
 func (r *Routed) Get(key string) (value.Value, error) {
-	var out value.Value
-	err := r.call(key, func(c *Client, sh uint32) error {
-		v, err := c.GetShard(sh, key)
-		if err != nil {
-			return err
-		}
-		out = v
-		return nil
-	})
-	return out, err
+	v, _, err := r.callValue(key, wire.Request{Op: wire.OpGet, Handler: key})
+	return v, err
 }
 
 // Invoke routes a complete single-key atomic action to the shard
 // owning key and returns its result.
 func (r *Routed) Invoke(key, handler string, arg value.Value) (value.Value, error) {
-	var out value.Value
-	err := r.call(key, func(c *Client, sh uint32) error {
-		v, err := c.InvokeShard(sh, handler, arg)
-		if err != nil {
-			return err
-		}
-		out = v
-		return nil
-	})
-	return out, err
+	v, _, err := r.callValue(key, invokeReq(ids.ActionID{}, handler, arg))
+	return v, err
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/twopc"
 	"repro/internal/value"
+	"repro/internal/wire"
 )
 
 // Txn is a client-driven cross-shard atomic action. Begin picks the
@@ -40,24 +41,15 @@ type Txn struct {
 // Begin starts a cross-shard action coordinated by the shard owning
 // key (pass the first key the transaction will touch).
 func (r *Routed) Begin(key string) (*Txn, error) {
-	var t *Txn
-	err := r.call(key, func(c *Client, sh uint32) error {
-		aid, err := c.Begin(sh)
-		if err != nil {
-			return err
-		}
-		t = &Txn{
-			r:     r,
-			aid:   aid,
-			coord: shard.ID(sh),
-			parts: map[shard.ID]string{shard.ID(sh): c.Addr()},
-		}
-		return nil
-	})
+	resp, owner, err := r.call(key, wire.Request{Op: wire.OpBegin})
 	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	aid, err := wire.DecodeActionID(resp.Result)
+	if err != nil {
+		return nil, fmt.Errorf("client: begin: %w", err)
+	}
+	return &Txn{r: r, aid: aid, coord: owner.ID, parts: map[shard.ID]string{owner.ID: owner.Addr}}, nil
 }
 
 // AID returns the action's id.
@@ -71,19 +63,14 @@ func (t *Txn) Invoke(key, handler string, arg value.Value) (value.Value, error) 
 	if t.finished() {
 		return nil, fmt.Errorf("client: txn %v already finished", t.aid)
 	}
-	var out value.Value
-	err := t.r.call(key, func(c *Client, sh uint32) error {
-		v, err := c.InvokeJoinShard(sh, t.aid, handler, arg)
-		if err != nil {
-			return err
-		}
-		t.mu.Lock()
-		t.parts[shard.ID(sh)] = c.Addr()
-		t.mu.Unlock()
-		out = v
-		return nil
-	})
-	return out, err
+	v, owner, err := t.r.callValue(key, invokeReq(t.aid, handler, arg))
+	if err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	t.parts[owner.ID] = owner.Addr
+	t.mu.Unlock()
+	return v, nil
 }
 
 func (t *Txn) finished() bool {
@@ -115,6 +102,21 @@ func (t *Txn) participants() []twopc.Participant {
 	return out
 }
 
+// coordinator returns the 2PC engine for this action: the routed
+// transport as its network, and the coordinator shard's guardian —
+// reached at the address it was joined at — as its stable log.
+func (t *Txn) coordinator() twopc.Coordinator {
+	t.mu.Lock()
+	coordAddr := t.parts[t.coord]
+	t.mu.Unlock()
+	return twopc.Coordinator{
+		Self:   ids.GuardianID(t.coord),
+		Net:    t.r.tp,
+		Log:    t.r.client(coordAddr).CoordLog(uint32(t.coord)),
+		Tracer: t.r.opt.Tracer,
+	}
+}
+
 // Commit runs two-phase commit across every joined shard and returns
 // the coordinator's result. The committing record — the point of no
 // return — is forced at the coordinator shard's guardian before any
@@ -126,14 +128,8 @@ func (t *Txn) Commit() (twopc.Result, error) {
 	}
 	t.mu.Lock()
 	t.done = true
-	coordAddr := t.parts[t.coord]
 	t.mu.Unlock()
-	co := twopc.Coordinator{
-		Self:   ids.GuardianID(t.coord),
-		Net:    t.r.tp,
-		Log:    t.r.client(coordAddr).CoordLog(uint32(t.coord)),
-		Tracer: t.r.opt.Tracer,
-	}
+	co := t.coordinator()
 	return co.Run(t.aid, t.participants())
 }
 
@@ -142,15 +138,7 @@ func (t *Txn) Commit() (twopc.Result, error) {
 // they are reachable again to deliver the remaining commit messages
 // and retire the coordinator's committing record.
 func (t *Txn) Complete() (twopc.Result, error) {
-	t.mu.Lock()
-	coordAddr := t.parts[t.coord]
-	t.mu.Unlock()
-	co := twopc.Coordinator{
-		Self:   ids.GuardianID(t.coord),
-		Net:    t.r.tp,
-		Log:    t.r.client(coordAddr).CoordLog(uint32(t.coord)),
-		Tracer: t.r.opt.Tracer,
-	}
+	co := t.coordinator()
 	return co.Complete(t.aid, t.participants())
 }
 
