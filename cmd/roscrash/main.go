@@ -5,12 +5,23 @@
 // mode where guardians exchange funds under two-phase commit while
 // nodes crash (money conservation).
 //
-// With -sweep it instead runs the exhaustive crash-point sweep: for a
-// scripted history it crashes at every device write, every write of the
+// With -sweep it instead runs the exhaustive crash-point sweep
+// (crashtest.Sweep) over every topology the backend supports: single —
+// a scripted history crashed at every device write, every write of the
 // recovery that follows, and once more inside the second recovery
 // (triple crash), with single-copy decay injected between crash and
-// recovery, and verifies the chapter 6 invariant at every point. On
-// failure it prints the exact (backend, seed, crash schedule) triple
+// recovery, per seed and decay mode; replicated — the primary crashed
+// at every write under each backup down pattern and the best backup
+// promoted, per seed (not on shadow, which keeps no log to ship);
+// sharded — the coordinator shard of a two-shard transfer history
+// crashed at every write and the cluster settled, once (the history
+// takes no seed). Every point is checked against the serial oracle.
+// Each sweep prints one row
+//
+//	ok   sweep  <topology> <backend> seed=… decay=… writes=… points=… recoveries=… deepest=… (…s)
+//
+// and a failure prints the exact replay coordinates — topology,
+// backend, seed, decay mode, down pattern, crash schedule and step —
 // and exits non-zero.
 //
 // Usage:
@@ -100,36 +111,21 @@ func runSingle(b core.Backend) (failed bool) {
 	return failed
 }
 
-// runSweep exhausts every crash point of a scripted history per seed
-// and decay mode. A failure prints the exact replay coordinates —
-// backend, seed, decay mode, and the crash schedule (history write,
-// then nested recovery writes) — so the scenario can be rerun alone.
+// runSweep exhausts every crash point of every sweep in the backend's
+// matrix. A failure prints the exact replay coordinates (the
+// *crashtest.SweepError) so the scenario can be rerun alone.
 func runSweep(b core.Backend) (failed bool) {
-	decays := []crashtest.DecayMode{
-		crashtest.DecayNone, crashtest.DecayDeviceA,
-		crashtest.DecayDeviceB, crashtest.DecayAlternate,
-	}
-	for seed := int64(1); seed <= int64(*seeds); seed++ {
-		for _, d := range decays {
-			cfg := crashtest.SweepConfig{
-				Backend:   b,
-				Seed:      seed,
-				Steps:     *sweepSteps,
-				Mutex:     true,
-				Decay:     d,
-				Housekeep: b == core.BackendHybrid,
-			}
-			start := time.Now()
-			res, err := crashtest.Sweep(cfg)
-			if err != nil {
-				fmt.Printf("FAIL sweep  %-7v seed=%-3d decay=%-9v %v\n", b, seed, d, err)
-				failed = true
-				continue
-			}
-			fmt.Printf("ok   sweep  %-7v seed=%-3d decay=%-9v writes=%d points=%d recoveries=%d deepest=%d (%.2fs)\n",
-				b, seed, d, res.Writes, res.Points, res.Recoveries, res.Deepest,
-				time.Since(start).Seconds())
+	for _, cfg := range crashtest.SweepMatrix(b, *seeds, *sweepSteps) {
+		start := time.Now()
+		res, err := crashtest.Sweep(cfg)
+		if err != nil {
+			fmt.Printf("FAIL %v\n", err)
+			failed = true
+			continue
 		}
+		fmt.Printf("ok   sweep  %-10v %-7v seed=%-3d decay=%-9v writes=%d points=%d recoveries=%d deepest=%d (%.2fs)\n",
+			cfg.Topology, b, cfg.Seed, cfg.Decay, res.Writes, res.Points, res.Recoveries, res.Deepest,
+			time.Since(start).Seconds())
 	}
 	return failed
 }

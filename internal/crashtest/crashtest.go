@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/guardian"
+	"repro/internal/ids"
 	"repro/internal/object"
 	"repro/internal/obs"
 	"repro/internal/twopc"
@@ -352,20 +353,34 @@ func restart(g *guardian.Guardian) (*guardian.Guardian, error) {
 // harness's actions are single-guardian, so the guardian is its own
 // coordinator: committed iff its committing record survived.
 func resolveInDoubt(g *guardian.Guardian) error {
-	for _, aid := range g.InDoubt() {
-		var err error
-		if g.OutcomeOf(aid) == twopc.OutcomeCommitted {
-			err = g.HandleCommit(aid)
-		} else {
-			err = g.HandleAbort(aid)
-		}
-		if err != nil {
-			return err
-		}
+	if err := resolve(g, ownVerdict(g)); err != nil {
+		return err
 	}
 	// Finish phase two for any action committed but not done.
 	for _, aid := range g.Unfinished() {
 		if err := g.Done(aid); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ownVerdict answers g's in-doubt branches from its own recovered CT:
+// committed iff its committing record survived.
+func ownVerdict(g *guardian.Guardian) func(ids.ActionID) (twopc.Outcome, error) {
+	return func(aid ids.ActionID) (twopc.Outcome, error) { return g.OutcomeOf(aid), nil }
+}
+
+// resolve settles every prepared branch of g by the verdict it draws.
+func resolve(g *guardian.Guardian, verdict func(ids.ActionID) (twopc.Outcome, error)) error {
+	for _, aid := range g.InDoubt() {
+		out, err := verdict(aid)
+		if err == nil && out == twopc.OutcomeCommitted {
+			err = g.HandleCommit(aid)
+		} else if err == nil {
+			err = g.HandleAbort(aid)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -3,16 +3,14 @@ package crashtest
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/guardian"
 	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/replog"
-	"repro/internal/stablelog"
 )
 
-// The replicated sweep extends the crash-point sweep across the
+// The replicated topology extends the crash-point sweep across the
 // replication boundary: the same scripted history runs on a primary
 // whose log is shipped to two backups (quorum 2 of 3), the primary is
 // crashed at every device write, and at every crash point — crossed
@@ -23,10 +21,11 @@ import (
 // primary crash, because acknowledgment waited for a quorum and the
 // promoted backup is chosen from the quorum's survivors.
 //
-// The sweep keeps one log generation (no housekeeping in the script):
+// The topology keeps one log generation (the driver refuses
+// housekeeping, and decay, which only the single topology injects):
 // within a generation the promotion rule is purely mechanical —
 // promote the backup with the most durable bytes — which is exactly
-// the rule RepSweep applies. Generation switches (snapshot resets,
+// the rule promoteBest applies. Generation switches (snapshot resets,
 // rejoin catch-up) are exercised by the replog unit tests; crossing
 // them mid-crash turns promotion into an operator decision the
 // deterministic sweep cannot script.
@@ -66,50 +65,6 @@ var repDownPatterns = []RepDownPattern{RepDownNone, RepDownFirst, RepDownSecond}
 // guardian 1, as everywhere in the crash harness.
 var repBackupIDs = [2]ids.GuardianID{101, 102}
 
-// RepSweepConfig parameterizes a replicated crash-point sweep.
-type RepSweepConfig struct {
-	Backend core.Backend
-	Seed    int64
-	// Steps is the number of scripted actions after the setup action.
-	Steps int
-	// BlockSize is the simulated device block size (default 512).
-	BlockSize int
-}
-
-// RepSweepResult summarizes one replicated sweep.
-type RepSweepResult struct {
-	// Writes is W, the primary's device write count for the undisturbed
-	// replicated history.
-	Writes int
-	// Points is the number of verified scenarios (crash write × down
-	// pattern).
-	Points int
-	// Promotions counts backup takeovers run and verified.
-	Promotions int
-}
-
-// RepSweepError identifies the failing scenario: the backend, seed,
-// availability pattern, and crash write, replayable exactly.
-type RepSweepError struct {
-	Backend core.Backend
-	Seed    int64
-	Down    RepDownPattern
-	// Crash is the primary device write the crash hit (0 = the
-	// counting run).
-	Crash int
-	// Step is the script step the crash interrupted (-1 for the setup
-	// phase, len(script) if the history completed).
-	Step int
-	Err  error
-}
-
-func (e *RepSweepError) Error() string {
-	return fmt.Sprintf("repsweep %v seed=%d down=%v crash=%d step=%d: %v",
-		e.Backend, e.Seed, e.Down, e.Crash, e.Step, e.Err)
-}
-
-func (e *RepSweepError) Unwrap() error { return e.Err }
-
 // repCluster is one scenario's replication fabric.
 type repCluster struct {
 	net     *netsim.Network
@@ -119,13 +74,13 @@ type repCluster struct {
 // newRepCluster builds the network and backups for one replay, marks
 // the pattern's backup down, and returns the install hook that wires
 // the primary's replicator onto the scripted guardian.
-func newRepCluster(cfg RepSweepConfig, down RepDownPattern, tr obs.Tracer) (*repCluster, func(*guardian.Guardian) error, error) {
+func newRepCluster(cfg SweepConfig, down RepDownPattern, tr obs.Tracer) (*repCluster, func(*guardian.Guardian) error, error) {
 	cl := &repCluster{net: netsim.New()}
 	cl.net.SetTracer(tr)
 	reps := make([]replog.Replica, 0, len(repBackupIDs))
 	for i, id := range repBackupIDs {
 		b, err := replog.NewBackup(replog.BackupConfig{
-			ID: id, Primary: 1, Backend: cfg.Backend, BlockSize: cfg.BlockSize, Tracer: tr,
+			ID: id, Primary: 1, Backend: cfg.Backend, BlockSize: sweepBlockSize, Tracer: tr,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("backup %v: %w", id, err)
@@ -140,12 +95,8 @@ func newRepCluster(cfg RepSweepConfig, down RepDownPattern, tr obs.Tracer) (*rep
 		cl.net.SetDown(repBackupIDs[1], true)
 	}
 	install := func(g *guardian.Guardian) error {
-		site := g.Site()
-		if site == nil {
-			return fmt.Errorf("backend %v has no log site to replicate", cfg.Backend)
-		}
 		p, err := replog.NewPrimary(replog.Config{
-			Self: 1, Site: site, Quorum: 2, Net: cl.net, Replicas: reps, Tracer: tr,
+			Self: 1, Site: g.Site(), Quorum: 2, Net: cl.net, Replicas: reps, Tracer: tr,
 		})
 		if err != nil {
 			return err
@@ -166,12 +117,8 @@ func (cl *repCluster) promoteBest() (*guardian.Guardian, error) {
 	if cl.backups[1].Status().Durable > cl.backups[0].Status().Durable {
 		best = 1
 	}
-	g, err := cl.backups[best].Promote()
+	g, err := recovered(cl.backups[best].Promote())
 	if err != nil {
-		return nil, err
-	}
-	g.SetSynchronousForces(true)
-	if err := guardian.CheckRecovered(g); err != nil {
 		return nil, err
 	}
 	if err := resolveInDoubt(g); err != nil {
@@ -180,110 +127,30 @@ func (cl *repCluster) promoteBest() (*guardian.Guardian, error) {
 	return g, nil
 }
 
-// RepSweep runs the replicated crash-point sweep for one
-// configuration. It returns a *RepSweepError naming the failing
-// (backend, seed, pattern, crash write) tuple on the first violation —
-// in particular on any acknowledged-but-lost commit, which surfaces as
-// a takeover state older than the interrupted step's pre-state.
-func RepSweep(cfg RepSweepConfig) (RepSweepResult, error) {
-	if cfg.Backend == 0 {
-		cfg.Backend = core.BackendHybrid
-	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 512
-	}
-	var res RepSweepResult
-	// The script is shared with the plain sweep, minus the knobs the
-	// replicated harness pins (no mutex, no housekeeping — see the
-	// package comment above).
-	base := SweepConfig{Backend: cfg.Backend, Seed: cfg.Seed, Steps: cfg.Steps, BlockSize: cfg.BlockSize}
-	script := buildScript(base)
+// replicatedTopology replays the scripted history on a primary whose
+// log ships to two backups, once per down pattern, and settles every
+// scenario — crashed primary or not — by promoting the best backup.
+func replicatedTopology(cfg SweepConfig) topology {
+	script := buildScript(cfg)
 	o := buildOracle(script)
-
-	fail := func(down RepDownPattern, k, step int, err error) error {
-		return &RepSweepError{Backend: cfg.Backend, Seed: cfg.Seed, Down: down, Crash: k, Step: step, Err: err}
-	}
-
-	// replay runs the replicated history with a crash armed at primary
-	// write k, returning the cluster and the interrupted step.
-	replay := func(k int, down RepDownPattern, chk *obs.Checker) (*repCluster, int, error) {
-		vol := stablelog.NewMemVolume(cfg.BlockSize)
-		vol.ArmGlobalCrashAtWrite(k)
-		cl, install, err := newRepCluster(cfg, down, chk)
-		if err != nil {
-			return nil, -1, err
-		}
-		s, _, err := executeScript(vol, base, script, chk, install)
-		return cl, s, err
-	}
-
-	// Counting run: the full replicated history with no crash, promoted
-	// and verified like every crash point — the zero-crash corner of the
-	// matrix — to tally the primary's W device writes.
-	chk := obs.NewChecker(nil)
-	countVol := stablelog.NewMemVolume(cfg.BlockSize)
-	countVol.ArmGlobalCrashAtWrite(0)
-	cl, install, err := newRepCluster(cfg, RepDownNone, chk)
-	if err != nil {
-		return res, fail(RepDownNone, 0, -1, err)
-	}
-	s, _, err := executeScript(countVol, base, script, chk, install)
-	if err != nil {
-		return res, fail(RepDownNone, 0, s, err)
-	}
-	if s != len(script) {
-		return res, fail(RepDownNone, 0, s, fmt.Errorf("unarmed history did not complete (stopped at step %d)", s))
-	}
-	g, err := cl.promoteBest()
-	if err != nil {
-		return res, fail(RepDownNone, 0, s, err)
-	}
-	if err := verifyRecovered(g, base, script, o, s, false); err != nil {
-		return res, fail(RepDownNone, 0, s, err)
-	}
-	if err := chk.Err(); err != nil {
-		return res, fail(RepDownNone, 0, s, err)
-	}
-	res.Writes = countVol.GlobalWrites()
-	res.Points++
-	res.Promotions++
-
-	for _, down := range repDownPatterns {
-		for k := 1; k <= res.Writes; k++ {
-			chk := obs.NewChecker(nil)
-			cl, s, err := replay(k, down, chk)
+	return topology{
+		downs:      repDownPatterns,
+		settleDone: true,
+		replay: func(down RepDownPattern, k int, chk *obs.Checker) (*scenario, error) {
+			vol := armedVolume(k)
+			cl, install, err := newRepCluster(cfg, down, chk)
 			if err != nil {
-				return res, fail(down, k, s, err)
+				return &scenario{vol: vol, step: -1}, err
 			}
-			if s == len(script) {
-				// The crash never fired: this pattern's history performs
-				// fewer primary writes than the all-up counting run (a
-				// down backup saves no primary writes, so this would mean
-				// the replays diverged — still verify the final state).
-				g, err := cl.promoteBest()
-				if err != nil {
-					return res, fail(down, k, s, err)
-				}
-				if err := verifyRecovered(g, base, script, o, s, false); err != nil {
-					return res, fail(down, k, s, err)
-				}
-				res.Points++
-				res.Promotions++
-				continue
-			}
-			g, err := cl.promoteBest()
-			if err != nil {
-				return res, fail(down, k, s, err)
-			}
-			res.Promotions++
-			if err := verifyRecovered(g, base, script, o, s, false); err != nil {
-				return res, fail(down, k, s, err)
-			}
-			if err := chk.Err(); err != nil {
-				return res, fail(down, k, s, err)
-			}
-			res.Points++
-		}
+			s, g, err := executeScript(vol, cfg, script, chk, install)
+			return &scenario{
+				vol: vol, step: s, done: s == len(script),
+				settle: func(int, bool) (fired bool, err error) {
+					g, err = cl.promoteBest()
+					return false, err
+				},
+				check: func() error { return verifyRecovered(g, cfg, script, o, s, false) },
+			}, err
+		},
 	}
-	return res, nil
 }

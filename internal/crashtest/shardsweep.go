@@ -3,7 +3,6 @@ package crashtest
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/guardian"
 	"repro/internal/ids"
 	"repro/internal/netsim"
@@ -13,16 +12,17 @@ import (
 	"repro/internal/value"
 )
 
-// The cross-shard sweep is the sharded deployment's analogue of the
-// crash-point sweep: a fixed two-shard transfer history runs with the
-// coordinator shard's guardian crashed at every one of its device
-// writes — before its prepare, inside the committing record, between
-// the commit applications, inside the done record — and after every
-// crash the coordinator recovers, the cluster settles (unfinished
-// coordinators complete phase two, in-doubt participants query), and
-// the result is checked against a serial oracle. Transfer amounts are
-// distinct powers of two, so the set of committed transfers reads
-// directly off the balances; the checked properties are:
+// The sharded topology is the cross-shard analogue of the single one:
+// a fixed two-shard transfer history runs with the coordinator shard's
+// guardian crashed at every one of its device writes — before its
+// prepare, inside the committing record, between the commit
+// applications, inside the done record — and after every crash the
+// coordinator recovers, the cluster settles (unfinished coordinators
+// complete phase two, in-doubt participants query), and the result is
+// checked against a serial oracle. The history takes no seed: transfer
+// i moves 1<<i units from the coordinator shard to the participant
+// shard, so the set of committed transfers reads directly off the
+// balances; the checked properties are:
 //
 //   - conservation: the two vault balances always sum to the initial
 //     total (all-or-nothing across shards);
@@ -35,47 +35,6 @@ import (
 // shardSweepIDs: the coordinator shard's guardian and the participant
 // shard's guardian.
 var shardSweepIDs = [2]ids.GuardianID{2, 4}
-
-// ShardSweepConfig parameterizes a cross-shard crash-point sweep. The
-// history is fully deterministic — there is no seed; transfer i moves
-// 1<<i units from the coordinator shard to the participant shard.
-type ShardSweepConfig struct {
-	Backend core.Backend
-	// Steps is the number of cross-shard transfers (≤ 16 keeps the
-	// balances comfortably inside int64).
-	Steps int
-	// BlockSize is the simulated device block size (default 512).
-	BlockSize int
-}
-
-// ShardSweepResult summarizes one sweep.
-type ShardSweepResult struct {
-	// Writes is W, the coordinator's device write count for the
-	// undisturbed history.
-	Writes int
-	// Points is the number of verified crash scenarios.
-	Points int
-	// Recoveries counts coordinator recoveries run and verified.
-	Recoveries int
-}
-
-// ShardSweepError identifies the failing scenario.
-type ShardSweepError struct {
-	Backend core.Backend
-	// Crash is the coordinator device write the crash hit (0 = the
-	// counting run).
-	Crash int
-	// Step is the transfer the crash interrupted (-1 for the setup
-	// phase, Steps if the history completed).
-	Step int
-	Err  error
-}
-
-func (e *ShardSweepError) Error() string {
-	return fmt.Sprintf("shardsweep %v crash=%d step=%d: %v", e.Backend, e.Crash, e.Step, e.Err)
-}
-
-func (e *ShardSweepError) Unwrap() error { return e.Err }
 
 // gatedNet models the death of the node hosting the coordinator logic.
 // Once the armed crash fires, the whole node is down — no message it
@@ -121,7 +80,7 @@ type shardReplay struct {
 // runShardHistory executes the transfer history on fresh guardians,
 // with the coordinator's volume already armed (or not). It stops at
 // the first fired crash.
-func runShardHistory(cfg ShardSweepConfig, vol *stablelog.MemVolume, chk *obs.Checker) (*shardReplay, error) {
+func runShardHistory(cfg SweepConfig, vol *stablelog.MemVolume, chk *obs.Checker) (*shardReplay, error) {
 	r := &shardReplay{vol: vol, net: netsim.New(), step: -1}
 	r.net.SetTracer(chk)
 	initial := int64(1) << uint(cfg.Steps)
@@ -133,21 +92,19 @@ func runShardHistory(cfg ShardSweepConfig, vol *stablelog.MemVolume, chk *obs.Ch
 		return false, err
 	}
 
-	coord, err := guardian.New(shardSweepIDs[0], guardian.WithBackend(cfg.Backend),
-		guardian.WithVolume(vol), guardian.WithTracer(chk))
+	coord, err := pinned(guardian.New(shardSweepIDs[0], guardian.WithBackend(cfg.Backend),
+		guardian.WithVolume(vol), guardian.WithTracer(chk)))
 	if f, err := fired(err); err != nil {
 		return r, err
 	} else if f {
 		return r, nil
 	}
-	coord.SetSynchronousForces(true)
 	r.coord = coord
 
-	part, err := guardian.New(shardSweepIDs[1], guardian.WithBackend(cfg.Backend), guardian.WithTracer(chk))
+	part, err := pinned(guardian.New(shardSweepIDs[1], guardian.WithBackend(cfg.Backend), guardian.WithTracer(chk)))
 	if err != nil {
 		return r, err
 	}
-	part.SetSynchronousForces(true)
 	r.part = part
 
 	setup := func(g *guardian.Guardian) error {
@@ -227,31 +184,19 @@ func runShardHistory(cfg ShardSweepConfig, vol *stablelog.MemVolume, chk *obs.Ch
 // actions re-drive phase two, and the participant's in-doubt branches
 // query the coordinator (§2.2.2/§2.2.3). It returns the recovered
 // coordinator (nil if the site was never durably created).
-func settleShards(cfg ShardSweepConfig, r *shardReplay, chk *obs.Checker) (*guardian.Guardian, error) {
+func settleShards(cfg SweepConfig, r *shardReplay, chk *obs.Checker) (*guardian.Guardian, error) {
 	r.vol.Crash()
 	r.vol.Restart()
-	ng, err := guardian.Open(shardSweepIDs[0], r.vol, cfg.Backend, guardian.WithTracer(chk))
-	if err != nil {
-		if isNoSite(err) {
-			return nil, nil
-		}
-		return nil, err
+	ng, err := recovered(guardian.Open(shardSweepIDs[0], r.vol, cfg.Backend, guardian.WithTracer(chk)))
+	if isNoSite(err) {
+		return nil, nil
 	}
-	ng.SetSynchronousForces(true)
-	if err := guardian.CheckRecovered(ng); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	// The coordinator's own prepared branches resolve against its CT.
-	for _, aid := range ng.InDoubt() {
-		var err error
-		if ng.OutcomeOf(aid) == twopc.OutcomeCommitted {
-			err = ng.HandleCommit(aid)
-		} else {
-			err = ng.HandleAbort(aid)
-		}
-		if err != nil {
-			return nil, err
-		}
+	if err := resolve(ng, ownVerdict(ng)); err != nil {
+		return nil, err
 	}
 	part := r.part
 	if part == nil {
@@ -271,19 +216,9 @@ func settleShards(cfg ShardSweepConfig, r *shardReplay, chk *obs.Checker) (*guar
 	}
 	// Prepared participant branches the completion pass did not reach
 	// query the coordinator for the verdict.
-	for _, aid := range part.InDoubt() {
-		out, err := twopc.Query(r.net, part.ID(), ng, aid)
-		if err != nil {
-			return nil, err
-		}
-		if out == twopc.OutcomeCommitted {
-			err = part.HandleCommit(aid)
-		} else {
-			err = part.HandleAbort(aid)
-		}
-		if err != nil {
-			return nil, err
-		}
+	query := func(aid ids.ActionID) (twopc.Outcome, error) { return twopc.Query(r.net, part.ID(), ng, aid) }
+	if err := resolve(part, query); err != nil {
+		return nil, err
 	}
 	// Unprepared branches cannot belong to a committed action; abort
 	// the leftovers once the coordinator confirms.
@@ -301,7 +236,7 @@ func settleShards(cfg ShardSweepConfig, r *shardReplay, chk *obs.Checker) (*guar
 // verifyShards checks the oracle: conservation, zero acked-but-lost,
 // and the committed set being exactly the acknowledged prefix plus at
 // most the interrupted transfer.
-func verifyShards(cfg ShardSweepConfig, r *shardReplay, ng *guardian.Guardian) error {
+func verifyShards(cfg SweepConfig, r *shardReplay, ng *guardian.Guardian) error {
 	initial := int64(1) << uint(cfg.Steps)
 	if ng == nil {
 		// The coordinator's site was never durably created: legal only
@@ -362,74 +297,23 @@ func vaultOf(g *guardian.Guardian) int64 {
 	return int64(iv)
 }
 
-// ShardSweep runs the cross-shard crash-point sweep for one
-// configuration, returning a *ShardSweepError naming the failing
-// (backend, crash write) pair on the first violation.
-func ShardSweep(cfg ShardSweepConfig) (ShardSweepResult, error) {
-	if cfg.Backend == 0 {
-		cfg.Backend = core.BackendHybrid
+// shardedTopology runs the transfer history with the coordinator
+// shard's guardian as the crash site and settles a crash by restarting
+// it and settling the two-shard cluster.
+func shardedTopology(cfg SweepConfig) topology {
+	return topology{
+		downs: []RepDownPattern{RepDownNone},
+		replay: func(_ RepDownPattern, k int, chk *obs.Checker) (*scenario, error) {
+			r, err := runShardHistory(cfg, armedVolume(k), chk)
+			ng := r.coord
+			return &scenario{
+				vol: r.vol, step: r.step, done: r.step == cfg.Steps,
+				settle: func(int, bool) (fired bool, err error) {
+					ng, err = settleShards(cfg, r, chk)
+					return false, err
+				},
+				check: func() error { return verifyShards(cfg, r, ng) },
+			}, err
+		},
 	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 512
-	}
-	if cfg.Steps <= 0 || cfg.Steps > 16 {
-		return ShardSweepResult{}, fmt.Errorf("shardsweep: steps %d out of range (1..16)", cfg.Steps)
-	}
-	var res ShardSweepResult
-	fail := func(k, step int, err error) error {
-		return &ShardSweepError{Backend: cfg.Backend, Crash: k, Step: step, Err: err}
-	}
-
-	// Counting run: the undisturbed history tallies W and pins the
-	// expected final state.
-	chk := obs.NewChecker(nil)
-	vol := stablelog.NewMemVolume(cfg.BlockSize)
-	vol.ArmGlobalCrashAtWrite(0)
-	r, err := runShardHistory(cfg, vol, chk)
-	if err != nil {
-		return res, fail(0, r.step, err)
-	}
-	if r.step != cfg.Steps {
-		return res, fail(0, r.step, fmt.Errorf("unarmed history stopped at step %d", r.step))
-	}
-	if err := verifyShards(cfg, r, r.coord); err != nil {
-		return res, fail(0, r.step, err)
-	}
-	if err := chk.Err(); err != nil {
-		return res, fail(0, r.step, err)
-	}
-	res.Writes = vol.GlobalWrites()
-	res.Points++
-
-	for k := 1; k <= res.Writes; k++ {
-		chk := obs.NewChecker(nil)
-		vol := stablelog.NewMemVolume(cfg.BlockSize)
-		vol.ArmGlobalCrashAtWrite(k)
-		r, err := runShardHistory(cfg, vol, chk)
-		if err != nil {
-			return res, fail(k, r.step, err)
-		}
-		if r.step == cfg.Steps && !vol.GlobalCrashFired() {
-			// k beyond this replay's writes: possible only if replays
-			// diverge; still verify the final state.
-			if err := verifyShards(cfg, r, r.coord); err != nil {
-				return res, fail(k, r.step, err)
-			}
-			res.Points++
-			continue
-		}
-		ng, err := settleShards(cfg, r, chk)
-		res.Recoveries++
-		if err != nil {
-			return res, fail(k, r.step, err)
-		}
-		if err := verifyShards(cfg, r, ng); err != nil {
-			return res, fail(k, r.step, err)
-		}
-		if err := chk.Err(); err != nil {
-			return res, fail(k, r.step, err)
-		}
-		res.Points++
-	}
-	return res, nil
 }

@@ -13,18 +13,31 @@ import (
 	"repro/internal/value"
 )
 
-// The sweep mode is the exhaustive counterpart of Run: instead of
-// crashing at random writes of a random history, it fixes one scripted
-// history, counts every device block write W it performs, and replays
-// it W times, crashing at write k for each k in 1..W. Each crash point
-// is then deepened: the recovery that follows is itself crashed at
-// every one of its writes (double crash), and each of those recoveries
-// is crashed once more at its first write (triple crash), before a
-// final undisturbed recovery runs. After every terminal recovery the
-// chapter 6 invariant is checked: the recovered state equals the serial
-// run of the actions that committed — the pre- or post-state of the
-// interrupted action, never a mixture — and structural invariants hold
-// (guardian.CheckRecovered).
+// The sweep is the exhaustive counterpart of Run: instead of crashing
+// at random writes of a random history, it fixes one deterministic
+// history, counts every device block write W its crash site performs
+// (the counting run, itself a verified point), and replays it W times
+// per crash-site variant, crashing at write k for each k in 1..W. One
+// driver does this for every topology; a topology supplies only the
+// replay, the settle step that follows a crash, and the oracle:
+//
+//   - single: the scripted history on one guardian, settled by restart
+//     (recoverOnce). Each crash point is deepened: the recovery is
+//     itself crashed at every one of its writes (double crash), and
+//     each of those recoveries once more at its first write (triple
+//     crash), before a final undisturbed recovery runs.
+//   - replicated: the same history on a primary shipping its log to two
+//     backups, once per down pattern, settled by promoting the best
+//     backup (repsweep.go).
+//   - sharded: a two-shard transfer history under 2PC, the coordinator
+//     shard crashed, settled by restart plus 2PC settlement
+//     (shardsweep.go).
+//
+// After every terminal settle the chapter 6 invariant is checked: the
+// recovered state equals the serial run of the actions that committed —
+// the pre- or post-state of the interrupted action, never a mixture —
+// structural invariants hold (guardian.CheckRecovered), and the event
+// stream of the whole scenario satisfies obs.Checker.
 
 // DecayMode selects which device copies decay between every crash and
 // the recovery that follows. All modes decay at most one copy of any
@@ -61,55 +74,94 @@ func (m DecayMode) String() string {
 	}
 }
 
-// SweepConfig parameterizes an exhaustive crash-point sweep.
+// Topology selects the deployment a sweep crashes.
+type Topology uint8
+
+const (
+	// TopologySingle is one guardian on one volume.
+	TopologySingle Topology = iota
+	// TopologyReplicated is a primary whose log ships to two backups
+	// (quorum 2 of 3); a crash is settled by promotion.
+	TopologyReplicated
+	// TopologySharded is two shards joined by a cross-shard transfer
+	// history; the coordinator shard's guardian is the crash site.
+	TopologySharded
+)
+
+var topologyNames = [...]string{"single", "replicated", "sharded"}
+
+func (t Topology) String() string {
+	if int(t) < len(topologyNames) {
+		return topologyNames[t]
+	}
+	return fmt.Sprintf("topology(%d)", uint8(t))
+}
+
+// sweepBlockSize is the simulated device block size of every swept
+// volume.
+const sweepBlockSize = 512
+
+// SweepConfig parameterizes an exhaustive crash-point sweep. A field
+// the topology cannot honour is refused, never ignored.
 type SweepConfig struct {
+	Topology Topology
+	// Backend is the stable-storage organization (default hybrid).
 	Backend core.Backend
-	Seed    int64
-	// Steps is the number of scripted actions after the setup action.
+	// Seed derives the scripted history (single and replicated; the
+	// sharded history is fixed and takes none).
+	Seed int64
+	// Steps is the number of scripted actions after the setup action
+	// (sharded: the number of transfers, 1..16).
 	Steps int
-	// Mutex adds a §2.4.2 mutex object to the script.
+	// Mutex adds a §2.4.2 mutex object to the script (single and
+	// replicated).
 	Mutex bool
-	// Housekeep interleaves housekeeping passes (hybrid backend only).
+	// Housekeep interleaves housekeeping passes (single, hybrid backend
+	// only: the replicated sweep keeps one log generation).
 	Housekeep bool
-	// Decay selects read-path fault injection before every recovery.
+	// Decay selects read-path fault injection before the first recovery
+	// of every crash point (single only).
 	Decay DecayMode
-	// BlockSize is the simulated device block size (default 512).
-	BlockSize int
 }
 
 // SweepResult summarizes one sweep.
 type SweepResult struct {
-	// Writes is W, the device write count of the undisturbed history.
+	// Writes is W, the crash site's device write count in the
+	// undisturbed history.
 	Writes int
-	// Points is the number of distinct crash scenarios exercised (one
-	// per terminal verification: single, double, and triple crashes).
+	// Points is the number of verified scenarios: the counting run and
+	// one per terminal settle of every crash schedule.
 	Points int
-	// Recoveries counts recovery attempts, including interrupted ones.
+	// Recoveries counts settle attempts — restarts and promotions —
+	// including interrupted ones.
 	Recoveries int
 	// Deepest is the largest number of stacked crashes any point hit.
 	Deepest int
 }
 
 // SweepError identifies the exact failing scenario so it can be
-// replayed: the backend, the seed, and the crash schedule (history
-// write k, then recovery writes for the nested crashes).
+// replayed: the topology, backend, seed, decay mode, down pattern and
+// crash schedule.
 type SweepError struct {
-	Backend core.Backend
-	Seed    int64
-	Decay   DecayMode
+	Topology Topology
+	Backend  core.Backend
+	Seed     int64
+	Decay    DecayMode
+	Down     RepDownPattern
 	// Crashes is the crash schedule, outermost first: Crashes[0] is the
-	// history write the first crash hit, Crashes[1] the write of the
-	// first recovery the second crash hit, and so on.
+	// history write the first crash hit (0 for the counting run),
+	// Crashes[1] the write of the first recovery the second crash hit,
+	// and so on.
 	Crashes []int
-	// Step is the script step the first crash interrupted (-1 for the
-	// setup phase, len(script) if the history completed).
+	// Step is the step the first crash interrupted (-1 for the setup
+	// phase, the history length if the history completed).
 	Step int
 	Err  error
 }
 
 func (e *SweepError) Error() string {
-	return fmt.Sprintf("sweep %v seed=%d decay=%v crashes=%v step=%d: %v",
-		e.Backend, e.Seed, e.Decay, e.Crashes, e.Step, e.Err)
+	return fmt.Sprintf("sweep %v %v seed=%d decay=%v down=%v crashes=%v step=%d: %v",
+		e.Topology, e.Backend, e.Seed, e.Decay, e.Down, e.Crashes, e.Step, e.Err)
 }
 
 func (e *SweepError) Unwrap() error { return e.Err }
@@ -243,16 +295,12 @@ func executeScript(vol *stablelog.MemVolume, cfg SweepConfig, script []scriptSte
 		}
 		return false, err
 	}
-	g, err := guardian.New(1, guardian.WithBackend(cfg.Backend), guardian.WithVolume(vol), guardian.WithTracer(tr))
+	g, err := pinned(guardian.New(1, guardian.WithBackend(cfg.Backend), guardian.WithVolume(vol), guardian.WithTracer(tr)))
 	if c, err := crashed(err); err != nil {
 		return -1, nil, err
 	} else if c {
 		return -1, nil, nil
 	}
-	// The sweep counts device writes to place crash points; pin
-	// synchronous forces so the counts are a pure function of the
-	// schedule, independent of group-commit coalescing.
-	g.SetSynchronousForces(true)
 	if install != nil {
 		if err := install(g); err != nil {
 			return -1, nil, err
@@ -390,11 +438,7 @@ func recoverOnce(vol *stablelog.MemVolume, cfg SweepConfig, armAt int, withDecay
 	if armAt > 0 {
 		vol.ArmGlobalCrashAtWrite(armAt)
 	}
-	g, err = guardian.Open(1, vol, cfg.Backend, guardian.WithTracer(tr))
-	if err == nil {
-		g.SetSynchronousForces(true)
-		err = guardian.CheckRecovered(g)
-	}
+	g, err = recovered(guardian.Open(1, vol, cfg.Backend, guardian.WithTracer(tr)))
 	if err == nil {
 		err = resolveInDoubt(g)
 	}
@@ -412,6 +456,34 @@ func recoverOnce(vol *stablelog.MemVolume, cfg SweepConfig, armAt int, withDecay
 
 func isNoSite(err error) bool {
 	return errors.Is(err, stablelog.ErrNoSite)
+}
+
+// pinned pins synchronous forces on a guardian the sweep just created,
+// recovered or promoted: crash points are placed by device-write index,
+// so the write sequence must be a pure function of the schedule,
+// independent of group-commit coalescing.
+func pinned(g *guardian.Guardian, err error) (*guardian.Guardian, error) {
+	if err == nil {
+		g.SetSynchronousForces(true)
+	}
+	return g, err
+}
+
+// recovered pins a guardian just opened from a crashed volume or
+// promoted from a backup and checks its structural invariants.
+func recovered(g *guardian.Guardian, err error) (*guardian.Guardian, error) {
+	if g, err = pinned(g, err); err == nil {
+		err = guardian.CheckRecovered(g)
+	}
+	return g, err
+}
+
+// armedVolume is a fresh swept volume whose device writes crash the
+// node from write k on (k == 0 only counts them).
+func armedVolume(k int) *stablelog.MemVolume {
+	vol := stablelog.NewMemVolume(sweepBlockSize)
+	vol.ArmGlobalCrashAtWrite(k)
+	return vol
 }
 
 // --- verification ------------------------------------------------------
@@ -560,7 +632,42 @@ func finalState(o *oracle, script []scriptStep) counterState {
 	return o.post[len(script)-1]
 }
 
-// --- the sweep ---------------------------------------------------------
+// --- the driver --------------------------------------------------------
+
+// scenario is one replayed history: the crash site's volume, the step
+// the armed crash interrupted, and the topology's settle and oracle
+// bound to the replay's state.
+type scenario struct {
+	vol *stablelog.MemVolume
+	// step is the interrupted step: -1 for the setup phase, the history
+	// length if the history completed.
+	step int
+	// done: the history completed — the armed crash never fired.
+	done bool
+	// settle brings the crashed deployment back (restart, promotion, or
+	// restart plus 2PC settlement) with a further crash armed at its
+	// write armAt (0 = unarmed), decay injected first if withDecay. It
+	// reports whether that crash fired.
+	settle func(armAt int, withDecay bool) (fired bool, err error)
+	// check runs the topology's oracle on the settled — or, for a
+	// completed history not settled, the live — state.
+	check func() error
+}
+
+// topology is what the driver needs of a deployment.
+type topology struct {
+	// downs are the crash-site variants, each swept over every write.
+	downs []RepDownPattern
+	// settleDone settles a completed history too: a replicated takeover
+	// is the scenario whether or not the primary crashed.
+	settleDone bool
+	// probe deepens every crash point into double and triple crashes.
+	probe bool
+	// replay runs the history of variant down on a fresh deployment
+	// whose crash site crashes at device write k (0 = the counting run).
+	// The scenario is non-nil even on error, carrying the step reached.
+	replay func(down RepDownPattern, k int, chk *obs.Checker) (*scenario, error)
+}
 
 // maxRecoveryProbe bounds the double-crash probe loop per crash point;
 // recoveries of these small scripted histories perform far fewer writes
@@ -568,152 +675,183 @@ func finalState(o *oracle, script []scriptStep) counterState {
 // is itself a bug.
 const maxRecoveryProbe = 400
 
-// Sweep runs the exhaustive crash-point sweep described in the package
-// comment for one configuration. It returns a *SweepError naming the
-// failing (backend, seed, crash schedule) triple on the first property
-// violation.
-func Sweep(cfg SweepConfig) (SweepResult, error) {
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 512
+// supports reports whether the topology can run on backend b:
+// replication ships a log, and the shadow backend keeps none.
+func (t Topology) supports(b core.Backend) bool {
+	return t != TopologyReplicated || b != core.BackendShadow
+}
+
+// topology validates cfg — defaulting the backend, refusing every field
+// its topology cannot honour — and builds the topology's replay.
+func (cfg *SweepConfig) topology() (topology, error) {
+	if cfg.Backend == 0 {
+		cfg.Backend = core.BackendHybrid
 	}
-	var res SweepResult
+	single := cfg.Topology == TopologySingle
+	var why string
+	switch {
+	case int(cfg.Topology) >= len(topologyNames):
+		why = "unknown topology"
+	case !cfg.Topology.supports(cfg.Backend):
+		why = "the shadow backend keeps no log to replicate"
+	case cfg.Housekeep && (!single || cfg.Backend != core.BackendHybrid):
+		why = "housekeeping is swept on a single hybrid guardian only"
+	case cfg.Decay != DecayNone && !single:
+		why = "decay is swept on a single guardian only"
+	case cfg.Topology == TopologySharded && (cfg.Seed != 0 || cfg.Mutex):
+		why = "the sharded transfer history is fixed: no seed, no mutex"
+	case cfg.Topology == TopologySharded && (cfg.Steps < 1 || cfg.Steps > 16):
+		why = fmt.Sprintf("steps %d out of range (1..16)", cfg.Steps)
+	}
+	if why != "" {
+		return topology{}, fmt.Errorf("sweep %v %v: %s", cfg.Topology, cfg.Backend, why)
+	}
+	switch cfg.Topology {
+	case TopologyReplicated:
+		return replicatedTopology(*cfg), nil
+	case TopologySharded:
+		return shardedTopology(*cfg), nil
+	}
+	return singleTopology(*cfg), nil
+}
+
+// singleTopology replays the scripted history on one guardian and
+// settles a crash by restarting it from the crashed volume.
+func singleTopology(cfg SweepConfig) topology {
 	script := buildScript(cfg)
 	o := buildOracle(script)
-
-	fail := func(crashes []int, step int, err error) error {
-		return &SweepError{
-			Backend: cfg.Backend, Seed: cfg.Seed, Decay: cfg.Decay,
-			Crashes: append([]int(nil), crashes...), Step: step, Err: err,
-		}
+	return topology{
+		downs: []RepDownPattern{RepDownNone},
+		probe: true,
+		replay: func(_ RepDownPattern, k int, chk *obs.Checker) (*scenario, error) {
+			vol := armedVolume(k)
+			s, g, err := executeScript(vol, cfg, script, chk, nil)
+			noSite := false
+			return &scenario{
+				vol: vol, step: s, done: s == len(script),
+				settle: func(armAt int, withDecay bool) (fired bool, err error) {
+					g, fired, noSite, err = recoverOnce(vol, cfg, armAt, withDecay, chk)
+					return fired, err
+				},
+				check: func() error { return verifyRecovered(g, cfg, script, o, s, noSite) },
+			}, err
+		},
 	}
+}
 
-	// Counting run: no crash, just tally W device writes. Like every
-	// scenario below, it runs under a runtime invariant checker fed by
-	// the event stream.
-	chk := obs.NewChecker(nil)
-	countVol := stablelog.NewMemVolume(cfg.BlockSize)
-	countVol.ArmGlobalCrashAtWrite(0)
-	s, g, err := executeScript(countVol, cfg, script, chk, nil)
+// Sweep runs the exhaustive crash-point sweep described in the package
+// comment for one configuration. It refuses a configuration its
+// topology cannot honour, and returns a *SweepError naming the failing
+// scenario's replay coordinates on the first property violation.
+func Sweep(cfg SweepConfig) (SweepResult, error) {
+	topo, err := cfg.topology()
 	if err != nil {
-		return res, fail(nil, s, err)
+		return SweepResult{}, err
 	}
-	if s != len(script) || g == nil {
-		return res, fail(nil, s, fmt.Errorf("unarmed history did not complete (stopped at step %d)", s))
-	}
-	if err := verifyRecovered(g, cfg, script, o, s, false); err != nil {
-		return res, fail(nil, s, err)
-	}
-	if err := chk.Err(); err != nil {
-		return res, fail(nil, s, err)
-	}
-	res.Writes = countVol.GlobalWrites()
-
-	// replay runs the history on a fresh volume with a crash armed at
-	// write k, returning the volume and the interrupted step. The
-	// checker spans the replay and every recovery of its crash point:
-	// each recovery's log-open event resets the force boundary, so the
-	// rules hold across the crashes.
-	replay := func(k int, chk *obs.Checker) (*stablelog.MemVolume, int, error) {
-		vol := stablelog.NewMemVolume(cfg.BlockSize)
-		vol.ArmGlobalCrashAtWrite(k)
-		s, _, err := executeScript(vol, cfg, script, chk, nil)
-		return vol, s, err
+	var res SweepResult
+	fail := func(down RepDownPattern, crashes []int, step int, err error) error {
+		return &SweepError{
+			Topology: cfg.Topology, Backend: cfg.Backend, Seed: cfg.Seed, Decay: cfg.Decay,
+			Down: down, Crashes: crashes, Step: step, Err: err,
+		}
 	}
 
-	for k := 1; k <= res.Writes; k++ {
-		// Depth 1: crash at history write k, recover undisturbed.
+	// run replays variant down with a crash armed at write k, settles a
+	// fired crash through the recovery crash schedule arms and then an
+	// undisturbed recovery (decay precedes only the first), and checks
+	// the oracle and the scenario's event checker. Each recovery's
+	// log-open event resets the checker's force boundary, so its rules
+	// hold across the crashes. A history the armed crash never
+	// interrupted is checked the same way. run returns the interrupted
+	// step and how many crashes fired.
+	run := func(down RepDownPattern, k int, arms []int) (step, crashes int, err error) {
 		chk := obs.NewChecker(nil)
-		vol, s, err := replay(k, chk)
+		sc, err := topo.replay(down, k, chk)
+		if err == nil && k == 0 {
+			res.Writes = sc.vol.GlobalWrites()
+			if !sc.done {
+				err = fmt.Errorf("unarmed history did not complete (stopped at step %d)", sc.step)
+			}
+		}
+		if !sc.done {
+			crashes = 1
+		}
+		if err == nil && (!sc.done || topo.settleDone) {
+			for i, at := range append(arms, 0) {
+				var fired bool
+				fired, err = sc.settle(at, i == 0)
+				res.Recoveries++
+				if err == nil && fired && at == 0 {
+					err = errors.New("unarmed recovery reported a crash")
+				}
+				if err != nil || !fired {
+					break
+				}
+				crashes++
+			}
+		}
+		if err == nil {
+			err = sc.check()
+		}
+		if err == nil {
+			err = chk.Err()
+		}
 		if err != nil {
-			return res, fail([]int{k}, s, err)
-		}
-		if s == len(script) {
-			// The crash never fired (k beyond this replay's writes —
-			// possible only if replays diverge; still verify).
-			res.Points++
-			continue
-		}
-		g, fired, noSite, err := recoverOnce(vol, cfg, 0, true, chk)
-		res.Recoveries++
-		if err != nil {
-			return res, fail([]int{k}, s, err)
-		}
-		if fired {
-			return res, fail([]int{k}, s, fmt.Errorf("unarmed recovery reported a crash"))
-		}
-		if err := verifyRecovered(g, cfg, script, o, s, noSite); err != nil {
-			return res, fail([]int{k}, s, err)
-		}
-		if err := chk.Err(); err != nil {
-			return res, fail([]int{k}, s, err)
+			return sc.step, crashes, fail(down, append([]int{k}, arms...), sc.step, err)
 		}
 		res.Points++
-		if res.Deepest < 1 {
-			res.Deepest = 1
-		}
+		res.Deepest = max(res.Deepest, crashes)
+		return sc.step, crashes, nil
+	}
 
-		// Depth 2 and 3: crash the recovery at each of its writes m;
-		// when that fires, crash the next recovery at its first write,
-		// then recover undisturbed and verify.
-		for m := 1; ; m++ {
-			if m > maxRecoveryProbe {
-				return res, fail([]int{k, m}, s, fmt.Errorf("recovery crash probe did not terminate"))
+	if _, _, err := run(topo.downs[0], 0, nil); err != nil {
+		return res, err
+	}
+	for _, down := range topo.downs {
+		for k := 1; k <= res.Writes; k++ {
+			step, crashes, err := run(down, k, nil)
+			// Depth 2 and 3: crash the recovery at each of its writes m;
+			// when that fires, crash the next recovery at its first
+			// write. The probe ends at the first m the recovery finishes
+			// before reaching.
+			probing := topo.probe && crashes > 0
+			for m := 1; err == nil && probing; m++ {
+				if m > maxRecoveryProbe {
+					err = fail(down, []int{k, m}, step, errors.New("recovery crash probe did not terminate"))
+					break
+				}
+				_, crashes, err = run(down, k, []int{m, 1})
+				probing = crashes > 1
 			}
-			chk := obs.NewChecker(nil)
-			vol, s2, err := replay(k, chk)
 			if err != nil {
-				return res, fail([]int{k}, s2, err)
-			}
-			if s2 == len(script) {
-				break
-			}
-			g, fired, noSite, err := recoverOnce(vol, cfg, m, true, chk)
-			res.Recoveries++
-			if err != nil {
-				return res, fail([]int{k, m}, s2, err)
-			}
-			if !fired {
-				// Recovery finished before reaching write m: the probe
-				// has covered every recovery write. Verify and stop.
-				if err := verifyRecovered(g, cfg, script, o, s2, noSite); err != nil {
-					return res, fail([]int{k, m}, s2, err)
-				}
-				if err := chk.Err(); err != nil {
-					return res, fail([]int{k, m}, s2, err)
-				}
-				res.Points++
-				break
-			}
-			// Triple crash: interrupt the second recovery at its first
-			// write, then let a final recovery run to completion.
-			depth := 2
-			g, fired, noSite, err = recoverOnce(vol, cfg, 1, false, chk)
-			res.Recoveries++
-			if err != nil {
-				return res, fail([]int{k, m, 1}, s2, err)
-			}
-			if fired {
-				depth = 3
-				g, fired, noSite, err = recoverOnce(vol, cfg, 0, false, chk)
-				res.Recoveries++
-				if err != nil {
-					return res, fail([]int{k, m, 1}, s2, err)
-				}
-				if fired {
-					return res, fail([]int{k, m, 1}, s2, fmt.Errorf("unarmed recovery reported a crash"))
-				}
-			}
-			if err := verifyRecovered(g, cfg, script, o, s2, noSite); err != nil {
-				return res, fail([]int{k, m, 1}, s2, err)
-			}
-			if err := chk.Err(); err != nil {
-				return res, fail([]int{k, m, 1}, s2, err)
-			}
-			res.Points++
-			if res.Deepest < depth {
-				res.Deepest = depth
+				return res, err
 			}
 		}
 	}
 	return res, nil
+}
+
+// SweepMatrix lists the sweeps of one backend that roscrash -sweep
+// runs: every topology the backend supports — single over every seed
+// and decay mode, replicated over every seed, sharded once (its history
+// takes no seed) — each over steps scripted actions.
+func SweepMatrix(b core.Backend, seeds, steps int) []SweepConfig {
+	var out []SweepConfig
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		for _, d := range []DecayMode{DecayNone, DecayDeviceA, DecayDeviceB, DecayAlternate} {
+			out = append(out, SweepConfig{
+				Backend: b, Seed: seed, Steps: steps, Mutex: true, Decay: d,
+				Housekeep: b == core.BackendHybrid,
+			})
+		}
+	}
+	for seed := int64(1); seed <= int64(seeds) && TopologyReplicated.supports(b); seed++ {
+		out = append(out, SweepConfig{Topology: TopologyReplicated, Backend: b, Seed: seed, Steps: steps, Mutex: true})
+	}
+	// The sharded history fails on the shadow backend: shadow recovery
+	// forgets a committing record written before the latest map install.
+	if b != core.BackendShadow {
+		out = append(out, SweepConfig{Topology: TopologySharded, Backend: b, Steps: steps})
+	}
+	return out
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/stablelog"
 )
 
 // traceConfigs are the sweep configurations whose event streams the
@@ -27,8 +26,7 @@ func traceConfigs() []SweepConfig {
 func runTraced(t *testing.T, cfg SweepConfig, script []scriptStep, k int) []byte {
 	t.Helper()
 	rec := &obs.Recorder{}
-	vol := stablelog.NewMemVolume(cfg.BlockSize)
-	vol.ArmGlobalCrashAtWrite(k)
+	vol := armedVolume(k)
 	s, _, err := executeScript(vol, cfg, script, rec, nil)
 	if err != nil {
 		t.Fatalf("history (crash at %d): %v", k, err)
@@ -52,7 +50,6 @@ func runTraced(t *testing.T, cfg SweepConfig, script []scriptStep, k int) []byte
 func TestReplayTraceDeterministic(t *testing.T) {
 	for _, cfg := range traceConfigs() {
 		cfg := cfg
-		cfg.BlockSize = 512
 		t.Run(cfg.Backend.String(), func(t *testing.T) {
 			script := buildScript(cfg)
 
@@ -61,8 +58,7 @@ func TestReplayTraceDeterministic(t *testing.T) {
 			if !bytes.Equal(first, runTraced(t, cfg, script, 0)) {
 				t.Fatal("two undisturbed runs produced different traces")
 			}
-			vol := stablelog.NewMemVolume(cfg.BlockSize)
-			vol.ArmGlobalCrashAtWrite(0)
+			vol := armedVolume(0)
 			if _, _, err := executeScript(vol, cfg, script, nil, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -85,20 +81,29 @@ func TestReplayTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministic runs a small full sweep twice and requires the
-// aggregate results — write count, scenario count, recovery count — to
-// be identical, the sweep-level expression of the same contract.
+// TestSweepDeterministic runs a small full sweep of every topology
+// twice and requires the aggregate results — write count, scenario
+// count, recovery count — to be identical, the sweep-level expression
+// of the same contract.
 func TestSweepDeterministic(t *testing.T) {
-	cfg := SweepConfig{Backend: core.BackendHybrid, Seed: 11, Steps: 3, Housekeep: true}
-	a, err := Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("two sweeps diverged: %+v vs %+v", a, b)
+	for _, cfg := range []SweepConfig{
+		{Backend: core.BackendHybrid, Seed: 11, Steps: 3, Housekeep: true},
+		{Topology: TopologyReplicated, Backend: core.BackendHybrid, Seed: 11, Steps: 3},
+		{Topology: TopologySharded, Backend: core.BackendHybrid, Steps: 3},
+	} {
+		cfg := cfg
+		t.Run(cfg.Topology.String(), func(t *testing.T) {
+			a, err := Sweep(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Sweep(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != b {
+				t.Errorf("two sweeps diverged: %+v vs %+v", a, b)
+			}
+		})
 	}
 }
