@@ -848,10 +848,5 @@ func SweepMatrix(b core.Backend, seeds, steps int) []SweepConfig {
 	for seed := int64(1); seed <= int64(seeds) && TopologyReplicated.supports(b); seed++ {
 		out = append(out, SweepConfig{Topology: TopologyReplicated, Backend: b, Seed: seed, Steps: steps, Mutex: true})
 	}
-	// The sharded history fails on the shadow backend: shadow recovery
-	// forgets a committing record written before the latest map install.
-	if b != core.BackendShadow {
-		out = append(out, SweepConfig{Topology: TopologySharded, Backend: b, Steps: steps})
-	}
-	return out
+	return append(out, SweepConfig{Topology: TopologySharded, Backend: b, Steps: steps})
 }

@@ -49,11 +49,12 @@ func TestSweepCounts(t *testing.T) {
 	}{
 		{single(core.BackendSimple), SweepResult{Writes: 44, Points: 449, Recoveries: 1168, Deepest: 3}},
 		{single(core.BackendHybrid), SweepResult{Writes: 44, Points: 449, Recoveries: 1168, Deepest: 3}},
-		{single(core.BackendShadow), SweepResult{Writes: 46, Points: 519, Recoveries: 1370, Deepest: 3}},
+		{single(core.BackendShadow), SweepResult{Writes: 46, Points: 551, Recoveries: 1466, Deepest: 3}},
 		{replicated(core.BackendSimple), SweepResult{Writes: 56, Points: 169, Recoveries: 169, Deepest: 1}},
 		{replicated(core.BackendHybrid), SweepResult{Writes: 44, Points: 133, Recoveries: 133, Deepest: 1}},
 		{sharded(core.BackendSimple), SweepResult{Writes: 86, Points: 87, Recoveries: 86, Deepest: 1}},
 		{sharded(core.BackendHybrid), SweepResult{Writes: 86, Points: 87, Recoveries: 86, Deepest: 1}},
+		{sharded(core.BackendShadow), SweepResult{Writes: 94, Points: 95, Recoveries: 94, Deepest: 1}},
 	} {
 		tc := tc
 		t.Run(tc.cfg.Topology.String()+"/"+tc.cfg.Backend.String(), func(t *testing.T) {
@@ -141,7 +142,7 @@ func TestRepSweepMultipleSeeds(t *testing.T) {
 // it, settles the two-shard cluster, and verifies the serial oracle:
 // conservation across shards and zero acked-but-lost.
 func TestShardSweep(t *testing.T) {
-	for _, b := range []core.Backend{core.BackendSimple, core.BackendHybrid} {
+	for _, b := range []core.Backend{core.BackendSimple, core.BackendHybrid, core.BackendShadow} {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			res, err := Sweep(SweepConfig{Topology: TopologySharded, Backend: b, Steps: 4})

@@ -12,13 +12,18 @@
 // the root page, the map, and only the short suffix of version-area
 // records written after the map (the distributed-commit intentions of
 // §1.2.1: "if the data an action manipulates is distributed ... a log
-// is also required"), so recovery is fast.
+// is also required"), so recovery is fast. Because recovery stops at
+// the installed map, every map carries forward the intentions still
+// live when it is installed — prepared actions awaiting a verdict and
+// committing records awaiting done — which would otherwise vanish
+// behind it.
 //
 // The version area is itself a stable log (append-only), and the map is
 // appended to it as an ordinary entry; installing a map writes its
 // address to the root page. Mutex objects follow Argus semantics: their
 // prepared versions are installed at the next map write and restored
-// from the intentions suffix meanwhile.
+// from the live intentions meanwhile; of several versions of one mutex
+// the latest written (highest address) wins.
 //
 // Shadowing does not participate in group commit: each outcome rewrites
 // and installs the whole map, and the root-page switch serializes with
@@ -76,6 +81,9 @@ type Store struct {
 
 	table   map[ids.UID]mapEntry // the installed map (volatile copy)
 	pending map[ids.ActionID][]install
+	// committing holds the coordinator records not yet closed by done;
+	// with pending, what every map install carries forward.
+	committing map[ids.ActionID][]ids.GuardianID
 
 	// MapWrites counts full map writes (the cost that makes shadowing
 	// slow, §1.2.1: "rewriting the map at every action commit ... could
@@ -89,13 +97,14 @@ type Store struct {
 // store.
 func New(vs *stablelog.Log, root *stable.Store, heap *object.Heap) *Store {
 	return &Store{
-		vs:      vs,
-		root:    root,
-		heap:    heap,
-		as:      object.NewAccessSet(),
-		pat:     object.NewPAT(),
-		table:   make(map[ids.UID]mapEntry),
-		pending: make(map[ids.ActionID][]install),
+		vs:         vs,
+		root:       root,
+		heap:       heap,
+		as:         object.NewAccessSet(),
+		pat:        object.NewPAT(),
+		table:      make(map[ids.UID]mapEntry),
+		pending:    make(map[ids.ActionID][]install),
+		committing: make(map[ids.ActionID][]ids.GuardianID),
 	}
 }
 
@@ -210,7 +219,7 @@ func (s *Store) Commit(aid ids.ActionID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, in := range s.pending[aid] {
-		s.table[in.uid] = mapEntry{Addr: in.addr, Kind: in.kind}
+		s.installLocked(in)
 	}
 	delete(s.pending, aid)
 	s.pat.Remove(aid)
@@ -231,7 +240,7 @@ func (s *Store) Abort(aid ids.ActionID) error {
 	var mutexInstalled bool
 	for _, in := range s.pending[aid] {
 		if in.kind == object.KindMutex {
-			s.table[in.uid] = mapEntry{Addr: in.addr, Kind: in.kind}
+			s.installLocked(in)
 			mutexInstalled = true
 		}
 	}
@@ -259,6 +268,7 @@ func (s *Store) Committing(aid ids.ActionID, gids []ids.GuardianID) error {
 	if err != nil {
 		return err
 	}
+	s.committing[aid] = gids
 	s.emitOutcome(obs.OutcomeCommitting, aid, lsn)
 	return nil
 }
@@ -271,15 +281,26 @@ func (s *Store) Done(aid ids.ActionID) error {
 	if err != nil {
 		return err
 	}
+	delete(s.committing, aid)
 	s.emitOutcome(obs.OutcomeDone, aid, lsn)
 	return nil
 }
 
-// writeMapLocked serializes the whole map, appends it to the version
-// area, forces it, and atomically installs it via the root page. It
-// returns the map record's address.
+// installLocked points the map at an action's version. A mutex entry
+// only moves forward: prepared actions' mutex versions are decided in
+// any order, and the latest written (highest address) is the value.
+func (s *Store) installLocked(in install) {
+	if cur, ok := s.table[in.uid]; ok && in.kind == object.KindMutex && cur.Addr > in.addr {
+		return
+	}
+	s.table[in.uid] = mapEntry{Addr: in.addr, Kind: in.kind}
+}
+
+// writeMapLocked serializes the whole map with the live intentions,
+// appends it to the version area, forces it, and atomically installs it
+// via the root page. It returns the map record's address.
 func (s *Store) writeMapLocked() (stablelog.LSN, error) {
-	lsn, err := s.vs.ForceWrite(encodeMap(s.table))
+	lsn, err := s.vs.ForceWrite(encodeMap(s.table, s.pending, s.committing))
 	if err != nil {
 		return stablelog.NoLSN, err
 	}
@@ -327,8 +348,8 @@ type Tables struct {
 }
 
 // Recover reconstructs the stable state: read the root page, the map it
-// points at, every version the map references, and the intentions
-// suffix after the map.
+// points at, every version the map references, and the intentions —
+// those the map carried, then the suffix after it.
 func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 	t := &Tables{
 		Prepared:   make(map[ids.ActionID]bool),
@@ -342,6 +363,7 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 		return nil, nil, err
 	}
 	table := make(map[ids.UID]mapEntry)
+	var carried [][]byte
 	mapLSN := stablelog.NoLSN
 	if len(rootPage) >= 8 {
 		mapLSN = stablelog.LSN(binary.LittleEndian.Uint64(rootPage[:8]))
@@ -350,29 +372,23 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 			return nil, nil, fmt.Errorf("shadow: installed map unreadable: %w", err)
 		}
 		t.EntriesRead++
-		table, err = decodeMap(payload)
+		table, carried, err = decodeMap(payload)
 		if err != nil {
 			return nil, nil, err
 		}
 	}
 
-	// Scan the suffix after the map for intentions: prepared records
-	// whose verdict never arrived, plus coordinator records. (Read
-	// backward until we hit the map entry.)
+	// Collect the intentions, newest first: prepared records whose
+	// verdict never arrived, plus coordinator records. The suffix after
+	// the map is read backward until the map entry; the intentions the
+	// map carried are older than all of it.
 	type prep struct {
 		aid      ids.ActionID
 		installs []install
 	}
 	var suffix []prep
 	aborted := make(map[ids.ActionID]bool)
-	err = vs.ReadBackward(vs.Top(), func(lsn stablelog.LSN, payload []byte) bool {
-		if lsn == mapLSN {
-			return false
-		}
-		if len(payload) == 0 {
-			return true
-		}
-		t.EntriesRead++
+	visit := func(payload []byte) {
 		switch payload[0] {
 		case recPrepared:
 			aid, installs, err := decodePrepared(payload)
@@ -405,14 +421,27 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 			// transaction will be replayed from the prepared records,
 			// or re-committed by the resumed guardian; skip it.
 		}
+	}
+	err = vs.ReadBackward(vs.Top(), func(lsn stablelog.LSN, payload []byte) bool {
+		if lsn == mapLSN {
+			return false
+		}
+		if len(payload) > 0 {
+			t.EntriesRead++
+			visit(payload)
+		}
 		return true
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	for i := len(carried) - 1; i >= 0; i-- {
+		visit(carried[i])
+	}
 
 	// Materialize installed objects.
 	restored := make(map[ids.UID]object.Recoverable)
+	mutexAt := make(map[ids.UID]stablelog.LSN) // address of each mutex's restored version
 	for uid, me := range table {
 		v, err := readVersion(vs, me.Addr, t)
 		if err != nil {
@@ -423,12 +452,13 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 			obj = object.RestoreAtomic(uid, v, nil, ids.ActionID{})
 		} else {
 			obj = object.NewMutex(uid, v)
+			mutexAt[uid] = me.Addr
 		}
 		restored[uid] = obj
 		heap.Register(obj)
 	}
-	// Apply prepared intentions: atomic versions become write-locked
-	// current versions; mutex versions are installed outright.
+	// Apply prepared intentions, oldest first: atomic versions become
+	// write-locked current versions; a mutex takes its latest version.
 	for i := len(suffix) - 1; i >= 0; i-- {
 		p := suffix[i]
 		t.Prepared[p.aid] = true
@@ -439,11 +469,13 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 			}
 			switch in.kind {
 			case object.KindMutex:
-				if m, ok := restored[in.uid].(*object.Mutex); ok {
+				if m, ok := restored[in.uid].(*object.Mutex); ok && in.addr > mutexAt[in.uid] {
 					m.SetCurrent(v)
+					mutexAt[in.uid] = in.addr
 				} else if _, ok := restored[in.uid]; !ok {
 					m := object.NewMutex(in.uid, v)
 					restored[in.uid] = m
+					mutexAt[in.uid] = in.addr
 					heap.Register(m)
 				}
 			case object.KindAtomic:
@@ -519,6 +551,9 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 	}
 	for i := len(suffix) - 1; i >= 0; i-- {
 		s.pending[suffix[i].aid] = suffix[i].installs
+	}
+	for aid, gids := range t.Committing {
+		s.committing[aid] = gids
 	}
 	return t, s, nil
 }
@@ -664,7 +699,9 @@ func decodeOutcome(p []byte) (ids.ActionID, []ids.GuardianID, error) {
 	return aid, gids, nil
 }
 
-func encodeMap(table map[ids.UID]mapEntry) []byte {
+// encodeMap serializes the table, then the live intentions as embedded
+// prepared and committing records, each kind in aid order.
+func encodeMap(table map[ids.UID]mapEntry, pending map[ids.ActionID][]install, committing map[ids.ActionID][]ids.GuardianID) []byte {
 	uids := make([]ids.UID, 0, len(table))
 	for u := range table {
 		uids = append(uids, u)
@@ -678,36 +715,83 @@ func encodeMap(table map[ids.UID]mapEntry) []byte {
 		out = binary.AppendUvarint(out, uint64(me.Addr))
 		out = append(out, byte(me.Kind))
 	}
+	var carried [][]byte
+	for _, aid := range sortedAIDs(pending) {
+		carried = append(carried, encodePrepared(aid, pending[aid]))
+	}
+	for _, aid := range sortedAIDs(committing) {
+		carried = append(carried, encodeOutcome(recCommitting, aid, committing[aid]))
+	}
+	out = binary.AppendUvarint(out, uint64(len(carried)))
+	for _, rec := range carried {
+		out = binary.AppendUvarint(out, uint64(len(rec)))
+		out = append(out, rec...)
+	}
 	return out
 }
 
-func decodeMap(p []byte) (map[ids.UID]mapEntry, error) {
+// decodeMap returns the table and the carried intention records.
+func decodeMap(p []byte) (map[ids.UID]mapEntry, [][]byte, error) {
+	bad := fmt.Errorf("shadow: bad map record")
 	if len(p) < 1 || p[0] != recMap {
-		return nil, fmt.Errorf("shadow: bad map record")
+		return nil, nil, bad
 	}
 	buf := p[1:]
 	cnt, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, fmt.Errorf("shadow: bad map record")
+		return nil, nil, bad
 	}
 	buf = buf[n:]
 	table := make(map[ids.UID]mapEntry, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		u, n := binary.Uvarint(buf)
 		if n <= 0 {
-			return nil, fmt.Errorf("shadow: bad map record")
+			return nil, nil, bad
 		}
 		buf = buf[n:]
 		a, n := binary.Uvarint(buf)
 		if n <= 0 {
-			return nil, fmt.Errorf("shadow: bad map record")
+			return nil, nil, bad
 		}
 		buf = buf[n:]
 		if len(buf) < 1 {
-			return nil, fmt.Errorf("shadow: bad map record")
+			return nil, nil, bad
 		}
 		table[ids.UID(u)] = mapEntry{Addr: stablelog.LSN(a), Kind: object.Kind(buf[0])}
 		buf = buf[1:]
 	}
-	return table, nil
+	cnt, n = binary.Uvarint(buf)
+	if n <= 0 {
+		return nil, nil, bad
+	}
+	buf = buf[n:]
+	var carried [][]byte
+	for i := uint64(0); i < cnt; i++ {
+		l, n := binary.Uvarint(buf)
+		if n <= 0 || l == 0 || l > uint64(len(buf)-n) {
+			return nil, nil, bad
+		}
+		rec := buf[n : n+int(l)]
+		if rec[0] != recPrepared && rec[0] != recCommitting {
+			return nil, nil, bad
+		}
+		carried = append(carried, rec)
+		buf = buf[n+int(l):]
+	}
+	return table, carried, nil
+}
+
+// sortedAIDs returns m's keys in (coordinator, sequence) order.
+func sortedAIDs[V any](m map[ids.ActionID]V) []ids.ActionID {
+	aids := make([]ids.ActionID, 0, len(m))
+	for aid := range m {
+		aids = append(aids, aid)
+	}
+	sort.Slice(aids, func(i, j int) bool {
+		if aids[i].Coordinator != aids[j].Coordinator {
+			return aids[i].Coordinator < aids[j].Coordinator
+		}
+		return aids[i].Seq < aids[j].Seq
+	})
+	return aids
 }

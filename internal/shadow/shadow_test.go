@@ -117,6 +117,19 @@ func (f *fixture) bump(counter *object.Atomic, to int64) {
 	counter.Commit(aid)
 }
 
+// installMap commits an action that modified nothing on s: one map
+// install.
+func (f *fixture) installMap(s *Store) {
+	f.t.Helper()
+	aid := f.action()
+	if err := s.Prepare(aid, object.MOS{}); err != nil {
+		f.t.Fatal(err)
+	}
+	if err := s.Commit(aid); err != nil {
+		f.t.Fatal(err)
+	}
+}
+
 func getAtomic(t *testing.T, h *object.Heap, uid ids.UID) *object.Atomic {
 	t.Helper()
 	o, ok := h.Lookup(uid)
@@ -316,6 +329,129 @@ func TestCoordinatorRecords(t *testing.T) {
 	}
 }
 
+// TestCommittingSurvivesLaterMapInstall: a committing record with no
+// done must survive a later commit's map install — recovery reads only
+// the installed map and its suffix, so the map carries it forward. Lost,
+// the coordinator would presume abort for an action it acknowledged
+// committed.
+func TestCommittingSurvivesLaterMapInstall(t *testing.T) {
+	f := newFixture(t)
+	counter := f.seed()
+	aid := f.action()
+	if err := f.store.Committing(aid, []ids.GuardianID{2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	f.bump(counter, 1)
+	tables, store2 := f.crashAndRecover()
+	if gids := tables.Committing[aid]; len(gids) != 2 || gids[0] != 2 || gids[1] != 3 {
+		t.Fatalf("Committing = %v, want %v → [2 3]", tables.Committing, aid)
+	}
+	// The resumed store carries the entry across its own map installs
+	// until done is written.
+	f.installMap(store2)
+	tables, store3 := f.crashAndRecover()
+	if _, ok := tables.Committing[aid]; !ok {
+		t.Fatalf("Committing = %v after a second map install", tables.Committing)
+	}
+	if err := store3.Done(aid); err != nil {
+		t.Fatal(err)
+	}
+	f.installMap(store3)
+	if tables, _ := f.crashAndRecover(); len(tables.Committing) != 0 {
+		t.Fatalf("Committing = %v after done, want empty", tables.Committing)
+	}
+}
+
+// TestPreparedSurvivesLaterMapInstall: a prepared action with no
+// verdict must survive another action's commit — its versions stay
+// shadowed and write-locked, and committing it after recovery installs
+// them.
+func TestPreparedSurvivesLaterMapInstall(t *testing.T) {
+	f := newFixture(t)
+	counter := f.seed()
+	aid := f.action()
+	if err := counter.AcquireWrite(aid); err != nil {
+		t.Fatal(err)
+	}
+	counter.Replace(aid, value.Int(99))
+	if err := f.store.Prepare(aid, object.MOS{counter}); err != nil {
+		t.Fatal(err)
+	}
+	f.installMap(f.store)
+	tables, store2 := f.crashAndRecover()
+	if !tables.Prepared[aid] || len(tables.Prepared) != 1 {
+		t.Fatalf("Prepared = %v, want only %v", tables.Prepared, aid)
+	}
+	got := getAtomic(t, tables.Heap, 2)
+	if got.Writer() != aid {
+		t.Fatalf("writer = %v, want %v", got.Writer(), aid)
+	}
+	if cur, ok := got.Current(); !ok || !value.Equal(cur, value.Int(99)) {
+		t.Fatalf("current = %v, want 99", cur)
+	}
+	if err := store2.Commit(aid); err != nil {
+		t.Fatal(err)
+	}
+	tables, _ = f.crashAndRecover()
+	if len(tables.Prepared) != 0 {
+		t.Fatalf("Prepared = %v after commit, want empty", tables.Prepared)
+	}
+	if got := getAtomic(t, tables.Heap, 2); !value.Equal(got.Base(), value.Int(99)) {
+		t.Fatalf("counter = %s, want 99", value.String(got.Base()))
+	}
+}
+
+// TestMutexKeepsLatestVersion: two prepared actions hold versions of one
+// mutex, the later-prepared one with the lower aid. Whether both are
+// carried by a map, the later one commits, or the earlier one aborts
+// after it, the mutex keeps the latest version written (§2.4.2).
+func TestMutexKeepsLatestVersion(t *testing.T) {
+	f := newFixture(t)
+	setup := f.action()
+	m := object.NewMutex(2, value.Int(1))
+	root := object.NewAtomic(ids.StableVarsUID, value.RecordOf("m", value.Ref{Target: m}), setup)
+	f.heap.Register(root)
+	f.heap.Register(m)
+	if err := f.store.Prepare(setup, object.MOS{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.store.Commit(setup); err != nil {
+		t.Fatal(err)
+	}
+	root.Commit(setup)
+	late, early := f.action(), f.action()
+	for i, aid := range []ids.ActionID{early, late} {
+		v := int64(i + 2)
+		m.Seize(aid, func(value.Value) value.Value { return value.Int(v) })
+		if err := f.store.Prepare(aid, object.MOS{m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(label string, tables *Tables) {
+		t.Helper()
+		mo, ok := tables.Heap.Lookup(2)
+		if !ok {
+			t.Fatalf("%s: mutex lost", label)
+		}
+		if got := mo.(*object.Mutex).Current(); !value.Equal(got, value.Int(3)) {
+			t.Fatalf("%s: mutex = %s, want the latest version 3", label, value.String(got))
+		}
+	}
+	f.installMap(f.store)
+	tables, store := f.crashAndRecover()
+	want("both carried", tables)
+	if err := store.Commit(late); err != nil {
+		t.Fatal(err)
+	}
+	tables, store = f.crashAndRecover()
+	want("latest installed, earlier carried", tables)
+	if err := store.Abort(early); err != nil {
+		t.Fatal(err)
+	}
+	tables, _ = f.crashAndRecover()
+	want("earlier aborted after the latest committed", tables)
+}
+
 func TestResumeAfterRecovery(t *testing.T) {
 	f := newFixture(t)
 	counter := f.seed()
@@ -351,9 +487,12 @@ func TestCodecRoundTrips(t *testing.T) {
 		t.Fatalf("prepared round trip: %v %v %v", gotAid, gotIns, err)
 	}
 	table := map[ids.UID]mapEntry{4: {Addr: 7, Kind: object.KindMutex}}
-	gotTable, err := decodeMap(encodeMap(table))
-	if err != nil || gotTable[4] != table[4] {
-		t.Fatalf("map round trip: %v %v", gotTable, err)
+	pending := map[ids.ActionID][]install{aid: ins}
+	committing := map[ids.ActionID][]ids.GuardianID{aid: {8}}
+	gotTable, carried, err := decodeMap(encodeMap(table, pending, committing))
+	if err != nil || gotTable[4] != table[4] || len(carried) != 2 ||
+		carried[0][0] != recPrepared || carried[1][0] != recCommitting {
+		t.Fatalf("map round trip: %v %v %v", gotTable, carried, err)
 	}
 	a2, g2, err := decodeOutcome(encodeOutcome(recCommitting, aid, []ids.GuardianID{8}))
 	if err != nil || a2 != aid || len(g2) != 1 || g2[0] != 8 {
