@@ -58,7 +58,8 @@ fuzz:
 
 # Crash-injection soak across all backends: randomized histories
 # (single-node + distributed), then the exhaustive crash-point sweep
-# with read-path decay.
+# over every topology (single with read-path decay, replicated,
+# sharded).
 soak:
 	$(GO) run $(SOAKFLAGS) ./cmd/roscrash -steps 2000 -seeds 5
 	$(GO) run $(SOAKFLAGS) ./cmd/roscrash -sweep -seeds 5 -sweep-steps 4

@@ -117,7 +117,7 @@ type SweepConfig struct {
 	// replicated).
 	Mutex bool
 	// Housekeep interleaves housekeeping passes (single, hybrid backend
-	// only: the replicated sweep keeps one log generation).
+	// only: the replicated topology keeps one log generation).
 	Housekeep bool
 	// Decay selects read-path fault injection before the first recovery
 	// of every crash point (single only).
@@ -284,7 +284,7 @@ func buildOracle(script []scriptStep) *oracle {
 // the setup phase, len(script) on completion) and the guardian (nil
 // once crashed). A non-crash error is a harness failure. install, when
 // non-nil, runs on the fresh guardian before the setup action — the
-// replicated sweep hooks the log replicator in there.
+// replicated topology hooks the log replicator in there.
 func executeScript(vol *stablelog.MemVolume, cfg SweepConfig, script []scriptStep, tr obs.Tracer, install func(*guardian.Guardian) error) (int, *guardian.Guardian, error) {
 	crashed := func(err error) (bool, error) {
 		if err == nil {
