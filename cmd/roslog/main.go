@@ -125,6 +125,8 @@ func dump(log *stablelog.Log, format logrec.Format) {
 	}
 	var rows []row
 	die(log.ReadBackward(log.LastAppended(), func(lsn stablelog.LSN, p []byte) bool {
+		// p is borrowed until this callback returns; the rows outlive
+		// it, which is safe because Decode copies what it keeps.
 		e, err := logrec.Decode(format, p)
 		die(err)
 		rows = append(rows, row{lsn, e})

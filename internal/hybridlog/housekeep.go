@@ -91,6 +91,10 @@ type Housekeeper struct {
 	newAS    *object.AccessSet
 	stats    Stats
 	stage1ok bool
+
+	// chain and data read the old log's outcome entries and the data
+	// entries their pairs name, each into its own reused buffer.
+	chain, data entryReader
 }
 
 // hkRow is the housekeeping object table row. For mutex objects, oldLSN
@@ -122,6 +126,8 @@ func (w *Writer) begin(site *stablelog.Site, snapshot bool) (*Housekeeper, error
 		snapshot: snapshot,
 		oldLog:   w.log,
 		newLog:   newLog,
+		chain:    entryReader{src: w.log},
+		data:     entryReader{src: w.log},
 		gen:      gen,
 		marker:   w.lastOutcome, // the housekeeping marker (§5.1.1)
 		hk:       &housekeeping{},
@@ -252,11 +258,7 @@ func (h *Housekeeper) Stage1() error {
 
 func (h *Housekeeper) compactStage1() error {
 	for lsn := h.marker; lsn != stablelog.NoLSN; {
-		payload, err := h.oldLog.Read(lsn)
-		if err != nil {
-			return fmt.Errorf("hybridlog: compaction read at %v: %w", lsn, err)
-		}
-		e, err := logrec.Decode(logrec.Hybrid, payload)
+		e, err := h.chain.read(lsn)
 		if err != nil {
 			return fmt.Errorf("hybridlog: compaction entry at %v: %w", lsn, err)
 		}
@@ -507,14 +509,13 @@ func (h *Housekeeper) writeNewOutcome(e *logrec.Entry) error {
 	return nil
 }
 
+// readOldData returns the version and kind of the old log's data entry
+// at addr. The version is borrowed from the data reader: it is valid
+// until the next readOldData, so callers write it to the new log first.
 func (h *Housekeeper) readOldData(addr stablelog.LSN) ([]byte, object.Kind, error) {
-	payload, err := h.oldLog.Read(addr)
+	e, err := h.data.read(addr)
 	if err != nil {
 		return nil, 0, fmt.Errorf("hybridlog: housekeeping data read at %v: %w", addr, err)
-	}
-	e, err := logrec.Decode(logrec.Hybrid, payload)
-	if err != nil {
-		return nil, 0, err
 	}
 	if e.Kind != logrec.KindData {
 		return nil, 0, fmt.Errorf("hybridlog: entry at %v is %v, want data", addr, e.Kind)
@@ -732,13 +733,9 @@ func (h *Housekeeper) Finish() error {
 // (stage two). Prepared entries have their data entries re-written and
 // re-addressed; everything else is copied with a fresh chain link.
 func (h *Housekeeper) copyOELEntry(lsn stablelog.LSN) error {
-	payload, err := h.oldLog.Read(lsn)
+	e, err := h.chain.read(lsn)
 	if err != nil {
 		return fmt.Errorf("hybridlog: OEL read at %v: %w", lsn, err)
-	}
-	e, err := logrec.Decode(logrec.Hybrid, payload)
-	if err != nil {
-		return err
 	}
 	switch e.Kind {
 	case logrec.KindPrepared:

@@ -2,6 +2,7 @@ package hybridlog
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/logrec"
@@ -54,32 +55,78 @@ type otRow struct {
 }
 
 type recovery struct {
-	log *stablelog.Log
-	ot  map[ids.UID]*otRow
-	t   *Tables
+	ot map[ids.UID]*otRow
+	t  *Tables
+	// data decodes the data entries prepared and committed_ss pairs
+	// point at; the chain walk has its own reader, whose entry stays
+	// live while its pairs are followed.
+	data entryReader
+}
+
+// entryReader reads and decodes hybrid log entries into one reused
+// payload buffer and Entry, so a scan allocates nothing per entry. The
+// entry read returns, including the slices in it, is valid until the
+// next read.
+type entryReader struct {
+	src entrySource
+	buf []byte
+	e   logrec.Entry
+	// pairs and gids keep the largest list capacity seen: DecodeInto
+	// reuses an entry's lists but drops them for an entry without one,
+	// and a chain alternates kinds that carry a list with kinds that
+	// do not.
+	pairs []logrec.UIDLSN
+	gids  []ids.GuardianID
+}
+
+// entrySource is a *stablelog.Log, or for recovery, which runs before
+// anything else uses the log, a lock-free *stablelog.Reader.
+type entrySource interface {
+	ReadAppend(dst []byte, lsn stablelog.LSN) ([]byte, error)
+}
+
+func (er *entryReader) read(lsn stablelog.LSN) (*logrec.Entry, error) {
+	var err error
+	if er.buf, err = er.src.ReadAppend(er.buf[:0], lsn); err != nil {
+		return nil, err
+	}
+	er.e.Pairs, er.e.GIDs = er.pairs[:0], er.gids[:0]
+	if err := logrec.DecodeInto(logrec.Hybrid, er.buf, &er.e); err != nil {
+		return nil, err
+	}
+	if cap(er.e.Pairs) > cap(er.pairs) {
+		er.pairs = er.e.Pairs
+	}
+	if cap(er.e.GIDs) > cap(er.gids) {
+		er.gids = er.e.GIDs
+	}
+	return &er.e, nil
 }
 
 // Recover reconstructs a guardian's stable state from its hybrid log by
 // following the backward chain of outcome entries (§4.3.3).
 func Recover(log *stablelog.Log) (*Tables, error) {
+	top := log.Top()
+	rd := log.NewReader()
+	defer rd.Close()
 	r := &recovery{
-		log: log,
-		ot:  make(map[ids.UID]*otRow),
+		ot: make(map[ids.UID]*otRow),
 		t: &Tables{
 			PT: make(map[ids.ActionID]simplelog.PartState),
 			CT: make(map[ids.ActionID]simplelog.CoordInfo),
 			MT: make(map[ids.UID]stablelog.LSN),
 		},
+		data: entryReader{src: rd},
 	}
 	// Find the last outcome entry: scan back over any trailing data
 	// entries (early-prepared data whose action never prepared).
 	head := stablelog.NoLSN
-	err := log.ReadBackward(log.Top(), func(lsn stablelog.LSN, payload []byte) bool {
-		e, derr := logrec.Decode(logrec.Hybrid, payload)
-		if derr != nil {
+	var scan logrec.Entry
+	err := rd.ReadBackward(top, func(lsn stablelog.LSN, payload []byte) bool {
+		if logrec.DecodeInto(logrec.Hybrid, payload, &scan) != nil {
 			return true // unreadable trailing bytes: keep scanning
 		}
-		if e.Kind.IsOutcome() {
+		if scan.Kind.IsOutcome() {
 			head = lsn
 			return false
 		}
@@ -91,12 +138,9 @@ func Recover(log *stablelog.Log) (*Tables, error) {
 	r.t.ChainHead = head
 
 	// Follow the chain.
+	chain := entryReader{src: rd}
 	for lsn := head; lsn != stablelog.NoLSN; {
-		payload, err := log.Read(lsn)
-		if err != nil {
-			return nil, fmt.Errorf("hybridlog: chain read at %v: %w", lsn, err)
-		}
-		e, err := logrec.Decode(logrec.Hybrid, payload)
+		e, err := chain.read(lsn)
 		if err != nil {
 			return nil, fmt.Errorf("hybridlog: chain entry at %v: %w", lsn, err)
 		}
@@ -112,10 +156,12 @@ func Recover(log *stablelog.Log) (*Tables, error) {
 func (r *recovery) process(e *logrec.Entry) error {
 	switch e.Kind {
 	case logrec.KindPrepared:
-		if _, known := r.t.PT[e.AID]; !known {
-			r.t.PT[e.AID] = simplelog.PartPrepared
+		state, known := r.t.PT[e.AID]
+		if !known {
+			state = simplelog.PartPrepared
+			r.t.PT[e.AID] = state
 		}
-		return r.processPairs(e.AID, e.Pairs)
+		return r.processPairs(e.AID, state, e.Pairs)
 
 	case logrec.KindCommitted:
 		if _, known := r.t.PT[e.AID]; !known {
@@ -129,7 +175,8 @@ func (r *recovery) process(e *logrec.Entry) error {
 
 	case logrec.KindCommitting:
 		if _, known := r.t.CT[e.AID]; !known {
-			r.t.CT[e.AID] = simplelog.CoordInfo{State: simplelog.CoordCommitting, GIDs: e.GIDs}
+			// e is the chain reader's reused entry: the table keeps a copy.
+			r.t.CT[e.AID] = simplelog.CoordInfo{State: simplelog.CoordCommitting, GIDs: slices.Clone(e.GIDs)}
 		}
 
 	case logrec.KindDone:
@@ -185,8 +232,7 @@ func (r *recovery) process(e *logrec.Entry) error {
 
 // processPairs handles the ⟨uid, log address⟩ list of a prepared entry,
 // dispatching on the action's (already known) final state.
-func (r *recovery) processPairs(aid ids.ActionID, pairs []logrec.UIDLSN) error {
-	state := r.t.PT[aid]
+func (r *recovery) processPairs(aid ids.ActionID, state simplelog.PartState, pairs []logrec.UIDLSN) error {
 	for _, p := range pairs {
 		row, seen := r.ot[p.UID]
 		switch state {
@@ -366,11 +412,7 @@ func (r *recovery) processCommittedSS(pairs []logrec.UIDLSN) error {
 // readData follows a log address to a data entry and decodes its
 // version.
 func (r *recovery) readData(addr stablelog.LSN) (value.Value, object.Kind, error) {
-	payload, err := r.log.Read(addr)
-	if err != nil {
-		return nil, 0, fmt.Errorf("hybridlog: data entry at %v: %w", addr, err)
-	}
-	e, err := logrec.Decode(logrec.Hybrid, payload)
+	e, err := r.data.read(addr)
 	if err != nil {
 		return nil, 0, fmt.Errorf("hybridlog: data entry at %v: %w", addr, err)
 	}

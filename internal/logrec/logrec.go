@@ -26,9 +26,11 @@
 package logrec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ids"
@@ -200,133 +202,155 @@ func Encode(f Format, e *Entry) []byte {
 }
 
 // Decode parses entry bytes, checking that they carry the expected
-// format.
+// format. The entry owns its memory: nothing in it aliases data.
 func Decode(f Format, data []byte) (*Entry, error) {
+	e := new(Entry)
+	if err := DecodeInto(f, data, e); err != nil {
+		return nil, err
+	}
+	e.Value = bytes.Clone(e.Value)
+	return e, nil
+}
+
+// DecodeInto is Decode into a caller's entry, so a log scan can decode
+// every entry into one Entry and allocate nothing per entry. It sets
+// every field of e: a field the entry does not carry is zeroed (Prev is
+// NoLSN), so nothing of the entry e held before survives. The Pairs and
+// GIDs lists reuse e's capacity, and Value aliases data, so all three
+// are valid only until the next DecodeInto into e and while data is
+// unchanged; a caller that keeps one copies it. On error e is left
+// partly written.
+func DecodeInto(f Format, data []byte, e *Entry) error {
+	pairs, gids := e.Pairs[:0], e.GIDs[:0]
+	*e = Entry{Prev: stablelog.NoLSN}
 	r := decoder{data: data}
 	gotF, err := r.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if Format(gotF) != f {
-		return nil, fmt.Errorf("%w: format %d, want %d", ErrCorrupt, gotF, f)
+		return fmt.Errorf("%w: format %d, want %d", ErrCorrupt, gotF, f)
 	}
 	k, err := r.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e := &Entry{Kind: Kind(k), Prev: stablelog.NoLSN}
+	e.Kind = Kind(k)
 	switch e.Kind {
 	case KindData:
 		ot, err := r.byte()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.ObjType = object.Kind(ot)
 		if e.ObjType != object.KindAtomic && e.ObjType != object.KindMutex {
-			return nil, fmt.Errorf("%w: bad object type %d", ErrCorrupt, ot)
+			return fmt.Errorf("%w: bad object type %d", ErrCorrupt, ot)
 		}
 		if f == Simple {
 			u, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			e.UID = ids.UID(u)
 			if e.AID, err = r.aid(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if e.Value, err = r.bytes(); err != nil {
-			return nil, err
+			return err
 		}
 	case KindPrepared:
 		if e.AID, err = r.aid(); err != nil {
-			return nil, err
+			return err
 		}
 		if f == Hybrid {
-			if e.Pairs, err = r.pairs(); err != nil {
-				return nil, err
+			if e.Pairs, err = r.pairs(pairs); err != nil {
+				return err
 			}
 			if e.Prev, err = r.lsn(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case KindCommitted, KindAborted, KindDone:
 		if e.AID, err = r.aid(); err != nil {
-			return nil, err
+			return err
 		}
 		if f == Hybrid {
 			if e.Prev, err = r.lsn(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case KindCommitting:
 		if e.AID, err = r.aid(); err != nil {
-			return nil, err
+			return err
 		}
 		n, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n > uint64(len(data)) {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		for i := uint64(0); i < n; i++ {
 			g, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			e.GIDs = append(e.GIDs, ids.GuardianID(g))
+			gids = append(gids, ids.GuardianID(g))
+		}
+		if n > 0 {
+			e.GIDs = gids
 		}
 		if f == Hybrid {
 			if e.Prev, err = r.lsn(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case KindBaseCommitted:
 		u, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.UID = ids.UID(u)
 		if e.Value, err = r.bytes(); err != nil {
-			return nil, err
+			return err
 		}
 		if f == Hybrid {
 			if e.Prev, err = r.lsn(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case KindPreparedData:
 		u, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.UID = ids.UID(u)
 		if e.AID, err = r.aid(); err != nil {
-			return nil, err
+			return err
 		}
 		if e.Value, err = r.bytes(); err != nil {
-			return nil, err
+			return err
 		}
 		if f == Hybrid {
 			if e.Prev, err = r.lsn(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case KindCommittedSS:
-		if e.Pairs, err = r.pairs(); err != nil {
-			return nil, err
+		if e.Pairs, err = r.pairs(pairs); err != nil {
+			return err
 		}
 		if e.Prev, err = r.lsn(); err != nil {
-			return nil, err
+			return err
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, k)
+		return fmt.Errorf("%w: unknown kind %d", ErrCorrupt, k)
 	}
 	if !r.done() {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
+		return fmt.Errorf("%w: trailing bytes", ErrCorrupt)
 	}
-	return e, nil
+	return nil
 }
 
 // String renders an entry in the thesis's tuple notation, e.g.
@@ -422,8 +446,7 @@ func (r *decoder) bytes() ([]byte, error) {
 	if n > uint64(len(r.data)-r.pos) {
 		return nil, ErrCorrupt
 	}
-	out := make([]byte, n)
-	copy(out, r.data[r.pos:])
+	out := r.data[r.pos : r.pos+int(n) : r.pos+int(n)]
 	r.pos += int(n)
 	return out, nil
 }
@@ -448,7 +471,9 @@ func (r *decoder) lsn() (stablelog.LSN, error) {
 	return lsnDecode(x), nil
 }
 
-func (r *decoder) pairs() ([]UIDLSN, error) {
+// pairs decodes a pair list into out's capacity (nil for an empty
+// list).
+func (r *decoder) pairs(out []UIDLSN) ([]UIDLSN, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -459,7 +484,7 @@ func (r *decoder) pairs() ([]UIDLSN, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]UIDLSN, 0, n)
+	out = slices.Grow(out[:0], int(n))
 	for i := uint64(0); i < n; i++ {
 		u, err := r.uvarint()
 		if err != nil {

@@ -46,6 +46,12 @@ type Backup struct {
 	vol stablelog.Volume
 	tr  obs.Tracer
 
+	// promoting serializes Promote across guardian.Open, so concurrent
+	// callers recover the volume once and share the one guardian. It is
+	// not mu: every rep handler takes mu, and none may wait out a
+	// recovery. Lock order: promoting → mu.
+	promoting sync.Mutex
+
 	mu       sync.Mutex
 	site     *stablelog.Site
 	epoch    uint64 // highest epoch seen; adopted from the primary
@@ -184,8 +190,11 @@ func (b *Backup) Snapshot(snap wire.RepSnapshot) (wire.RepAck, error) {
 // from here on — and runs the existing crash recovery (guardian.Open)
 // over the received prefix. The decision is explicit and external; a
 // replica never promotes itself. Idempotent: a second call returns the
-// already-recovered guardian.
+// already-recovered guardian, and a concurrent one waits for the first
+// to finish and returns its guardian.
 func (b *Backup) Promote() (*guardian.Guardian, error) {
+	b.promoting.Lock()
+	defer b.promoting.Unlock()
 	b.mu.Lock()
 	if b.promoted && b.g != nil {
 		g := b.g

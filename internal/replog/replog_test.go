@@ -395,6 +395,63 @@ func TestPromoteTakesOverAndFencesOldPrimary(t *testing.T) {
 	checkClean(t, f)
 }
 
+// Concurrent Promote calls recover the volume once: every caller gets
+// the same guardian, and no caller is left holding a second guardian
+// over the volume the first one serves.
+func TestConcurrentPromoteRecoversOnce(t *testing.T) {
+	f := newFixture(t, 2)
+	initCounter(t, f.g)
+	for d := int64(1); d <= 20; d++ {
+		if err := addCommit(f.g, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := f.backups[0]
+	recoveries := func() int {
+		n := 0
+		for _, e := range f.rec.Events() {
+			if e.Kind == obs.KindRecoveryStart && e.Gid == uint64(primaryID) {
+				n++
+			}
+		}
+		return n
+	}
+	before := recoveries()
+
+	const callers = 8
+	got := make([]*guardian.Guardian, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = b.Promote()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+		if got[i] != got[0] {
+			t.Fatalf("caller %d got guardian %p, caller 0 got %p", i, got[i], got[0])
+		}
+	}
+	if b.Guardian() != got[0] {
+		t.Fatalf("backup caches guardian %p, callers got %p", b.Guardian(), got[0])
+	}
+	if n := recoveries() - before; n != 1 {
+		t.Fatalf("%d recoveries ran over the volume, want 1", n)
+	}
+	if v := counterValue(t, got[0]); v != 210 {
+		t.Fatalf("promoted counter = %d, want 210", v)
+	}
+}
+
 // A promoted backup refuses appends and snapshots from the deposed
 // primary in-band: it acks its own higher epoch and applies nothing.
 func TestPromotedBackupRefusesStaleTraffic(t *testing.T) {

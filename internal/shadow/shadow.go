@@ -362,12 +362,15 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	top := vs.Top()
+	rd := vs.NewReader()
+	defer rd.Close()
 	table := make(map[ids.UID]mapEntry)
 	var carried [][]byte
 	mapLSN := stablelog.NoLSN
 	if len(rootPage) >= 8 {
 		mapLSN = stablelog.LSN(binary.LittleEndian.Uint64(rootPage[:8]))
-		payload, err := vs.Read(mapLSN)
+		payload, err := rd.ReadAppend(nil, mapLSN)
 		if err != nil {
 			return nil, nil, fmt.Errorf("shadow: installed map unreadable: %w", err)
 		}
@@ -422,7 +425,9 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 			// or re-committed by the resumed guardian; skip it.
 		}
 	}
-	err = vs.ReadBackward(vs.Top(), func(lsn stablelog.LSN, payload []byte) bool {
+	// visit decodes what it keeps (aids, installs, gids) out of the
+	// borrowed payload, so the scan holds none of it.
+	err = rd.ReadBackward(top, func(lsn stablelog.LSN, payload []byte) bool {
 		if lsn == mapLSN {
 			return false
 		}
@@ -442,8 +447,11 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 	// Materialize installed objects.
 	restored := make(map[ids.UID]object.Recoverable)
 	mutexAt := make(map[ids.UID]stablelog.LSN) // address of each mutex's restored version
+	// Every version record is read into buf in turn.
+	var buf []byte
 	for uid, me := range table {
-		v, err := readVersion(vs, me.Addr, t)
+		var v value.Value
+		v, buf, err = readVersion(rd, buf, me.Addr, t)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -463,7 +471,8 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 		p := suffix[i]
 		t.Prepared[p.aid] = true
 		for _, in := range p.installs {
-			v, err := readVersion(vs, in.addr, t)
+			var v value.Value
+			v, buf, err = readVersion(rd, buf, in.addr, t)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -567,17 +576,21 @@ func restoreCurrent(a *object.Atomic, v value.Value, aid ids.ActionID) error {
 	return a.Replace(aid, v)
 }
 
-func readVersion(vs *stablelog.Log, addr stablelog.LSN, t *Tables) (value.Value, error) {
-	payload, err := vs.Read(addr)
+// readVersion reads and unflattens the version record at addr. The
+// record is read into buf, which is returned for the next call to
+// reuse; the value does not alias it.
+func readVersion(rd *stablelog.Reader, buf []byte, addr stablelog.LSN, t *Tables) (value.Value, []byte, error) {
+	buf, err := rd.ReadAppend(buf[:0], addr)
 	if err != nil {
-		return nil, fmt.Errorf("shadow: version at %v: %w", addr, err)
+		return nil, buf, fmt.Errorf("shadow: version at %v: %w", addr, err)
 	}
 	t.EntriesRead++
-	flat, _, err := decodeVersion(payload)
+	flat, _, err := decodeVersion(buf)
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
-	return value.Unflatten(flat)
+	v, err := value.Unflatten(flat)
+	return v, buf, err
 }
 
 // --- record codecs -----------------------------------------------------

@@ -2,6 +2,7 @@ package simplelog
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/logrec"
@@ -112,14 +113,18 @@ func Recover(log *stablelog.Log) (*Tables, error) {
 			CT: make(map[ids.ActionID]CoordInfo),
 		},
 	}
-	err := log.ReadBackward(log.Top(), func(lsn stablelog.LSN, payload []byte) bool {
-		e, derr := logrec.Decode(logrec.Simple, payload)
-		if derr != nil {
+	// Every entry decodes into e, over the borrowed payload: process
+	// copies what it keeps (Unflatten copies a version's bytes).
+	var e logrec.Entry
+	rd := log.NewReader()
+	defer rd.Close()
+	err := rd.ReadBackward(log.Top(), func(lsn stablelog.LSN, payload []byte) bool {
+		if derr := logrec.DecodeInto(logrec.Simple, payload, &e); derr != nil {
 			r.err = fmt.Errorf("simplelog: entry at %v: %w", lsn, derr)
 			return false
 		}
 		r.t.EntriesRead++
-		r.process(e)
+		r.process(&e)
 		return r.err == nil
 	})
 	if err != nil {
@@ -200,7 +205,7 @@ func (r *recovery) process(e *logrec.Entry) {
 	case logrec.KindCommitting:
 		// 2.f.
 		if _, known := r.t.CT[e.AID]; !known {
-			r.t.CT[e.AID] = CoordInfo{State: CoordCommitting, GIDs: e.GIDs}
+			r.t.CT[e.AID] = CoordInfo{State: CoordCommitting, GIDs: slices.Clone(e.GIDs)}
 		}
 
 	case logrec.KindDone:

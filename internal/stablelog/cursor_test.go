@@ -49,7 +49,7 @@ func (r refLog) bytes(off uint64, n int) ([]byte, error) {
 	return out, nil
 }
 
-// frame is Log.readFrameLocked over the reference bytes.
+// frame is Log.readFrame over the reference bytes.
 func (r refLog) frame(lsn LSN) ([]byte, uint32, error) {
 	hdr, err := r.bytes(uint64(lsn), frameHeaderSize)
 	if err != nil {
@@ -70,20 +70,26 @@ func (r refLog) frame(lsn LSN) ([]byte, uint32, error) {
 }
 
 // checkAgainstReference compares every read the log offers over its
-// durable prefix with the reference reader: Read and Prev at every byte
-// offset (frame boundary or not), the backward scan from Top, and the
-// raw run replication would ship. The log must be fully forced.
+// durable prefix with the reference reader: Read, a Reader's ReadAppend
+// and Prev at every byte offset (frame boundary or not), the backward
+// scans from Top, and the raw run replication would ship. The log must
+// be fully forced.
 func checkAgainstReference(t *testing.T, l *Log) {
 	t.Helper()
 	ref := refLog{store: l.store, durable: l.durable}
 	if l.tail != l.durable {
 		t.Fatalf("log has %d unforced bytes", l.tail-l.durable)
 	}
+	rd := l.NewReader()
+	defer rd.Close()
 	for off := uint64(0); off < ref.durable; off++ {
 		want, wantPrev, wantErr := ref.frame(LSN(off))
 		got, err := l.Read(LSN(off))
 		if !errors.Is(err, wantErr) || !bytes.Equal(got, want) {
 			t.Fatalf("Read(%d) = (%q, %v), reference (%q, %v)", off, got, err, want, wantErr)
+		}
+		if got, err := rd.ReadAppend(nil, LSN(off)); !errors.Is(err, wantErr) || !bytes.Equal(got, want) {
+			t.Fatalf("Reader.ReadAppend(%d) = (%q, %v), reference (%q, %v)", off, got, err, want, wantErr)
 		}
 		if wantErr != nil {
 			continue
@@ -96,20 +102,25 @@ func checkAgainstReference(t *testing.T, l *Log) {
 			t.Fatalf("Prev(%d) = (%v, %v), reference %v", off, prev, err, wantLSN)
 		}
 	}
-	lsn := l.Top()
-	err := l.ReadBackward(lsn, func(at LSN, payload []byte) bool {
-		want, prevLen, err := ref.frame(at)
-		if at != lsn || err != nil || !bytes.Equal(payload, want) {
-			t.Fatalf("ReadBackward visited (%v, %q), reference at %v is (%q, %v)", at, payload, lsn, want, err)
+	for _, scan := range []struct {
+		name string
+		read func(LSN, func(LSN, []byte) bool) error
+	}{{"ReadBackward", l.ReadBackward}, {"Reader.ReadBackward", rd.ReadBackward}} {
+		lsn := l.Top()
+		err := scan.read(lsn, func(at LSN, payload []byte) bool {
+			want, prevLen, err := ref.frame(at)
+			if at != lsn || err != nil || !bytes.Equal(payload, want) {
+				t.Fatalf("%s visited (%v, %q), reference at %v is (%q, %v)", scan.name, at, payload, lsn, want, err)
+			}
+			lsn = NoLSN
+			if prevLen != 0 {
+				lsn = LSN(uint64(at) - uint64(prevLen))
+			}
+			return true
+		})
+		if err != nil || lsn != NoLSN {
+			t.Fatalf("%s stopped at %v: %v", scan.name, lsn, err)
 		}
-		lsn = NoLSN
-		if prevLen != 0 {
-			lsn = LSN(uint64(at) - uint64(prevLen))
-		}
-		return true
-	})
-	if err != nil || lsn != NoLSN {
-		t.Fatalf("ReadBackward stopped at %v: %v", lsn, err)
 	}
 	if ref.durable == 0 {
 		return
@@ -370,7 +381,7 @@ func TestCursorDropsBytesBeyondTheTail(t *testing.T) {
 	}
 }
 
-// TestCursorCoherentUnderConcurrency runs the log's three kinds of
+// TestCursorCoherentUnderConcurrency runs the log's four kinds of
 // reader beside an appender and a forcer that keep extending the tail
 // page (run it under -race). Every read must return exactly the payload
 // written at that address, and an entry must be readable the moment its
@@ -464,6 +475,32 @@ func TestCursorCoherentUnderConcurrency(t *testing.T) {
 			})
 			if err != nil {
 				t.Errorf("ReadBackward: %v", err)
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	})
+	run(func() { // backward through a Reader, handing its cursor back each time
+		for !done.Load() {
+			top := l.Top()
+			rd := l.NewReader()
+			next, steps := -1, 0
+			err := rd.ReadBackward(top, func(lsn LSN, payload []byte) bool {
+				i := entryIndex(t, payload)
+				if next >= 0 && i != next {
+					t.Errorf("Reader scan visited entry %d, want %d", i, next)
+				}
+				if !at(i, lsn) {
+					t.Errorf("Reader scan found entry %d at %v, written elsewhere", i, lsn)
+				}
+				next = i - 1
+				steps++
+				return steps < 64 && !t.Failed()
+			})
+			rd.Close()
+			if err != nil {
+				t.Errorf("Reader.ReadBackward: %v", err)
 			}
 			if t.Failed() {
 				return

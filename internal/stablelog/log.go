@@ -8,6 +8,7 @@
 //	Write       (write)         — buffered append; durable only after a force
 //	ForceWrite  (force_write)   — append and force this and all older entries
 //	Read        (read)          — entry at a given log address
+//	ReadAppend  (read)          — the same, into a caller's buffer
 //	ReadBackward(read_backward) — iterate entries backward from an address
 //	Top         (get_top)       — address of the last forced entry
 //	CreateSite / Site.Destroy (create/destroy)
@@ -272,13 +273,25 @@ func salvageOpen(store *stable.Store) (*Log, error) {
 	return l, nil
 }
 
+// frameCRC is the frame checksum: CRC-32 (IEEE) over the magic byte,
+// the two little-endian lengths and the payload.
 func frameCRC(plen, prevLen uint32, payload []byte) uint32 {
-	var h [9]byte
-	h[0] = frameMagic
-	binary.LittleEndian.PutUint32(h[1:5], plen)
-	binary.LittleEndian.PutUint32(h[5:9], prevLen)
-	crc := crc32.ChecksumIEEE(h[:])
-	return crc32.Update(crc, crc32.IEEETable, payload)
+	return crc32.Update(headerCRC(plen, prevLen), crc32.IEEETable, payload)
+}
+
+// headerCRC is crc32.ChecksumIEEE of the frame header's first nine
+// bytes, folded a byte at a time through crc32.IEEETable. Passing those
+// bytes to crc32 as an array would move the array to the heap, one
+// allocation per frame written or read.
+func headerCRC(plen, prevLen uint32) uint32 {
+	crc := ^uint32(0)
+	crc = crc32.IEEETable[byte(crc)^frameMagic] ^ crc>>8
+	for _, x := range [2]uint32{plen, prevLen} {
+		for i := 0; i < 32; i += 8 {
+			crc = crc32.IEEETable[byte(crc)^byte(x>>i)] ^ crc>>8
+		}
+	}
+	return ^crc
 }
 
 // frameHeader is a decoded frame header.
@@ -360,34 +373,46 @@ func (l *Log) page(no, need int) ([]byte, error) {
 	return data, nil
 }
 
-// appendAt appends the n log bytes at byte offset off to dst: durable
-// bytes through the page cursor, bytes past the durable boundary from
-// the append buffer. ok is false if the range runs past limit (at most
-// the tail) or past what the store holds.
-func (l *Log) appendAt(dst []byte, off uint64, n int, limit uint64) (_ []byte, ok bool, err error) {
+// spanAt hands fn the n log bytes at byte offset off, in order, one
+// contiguous run at a time: durable bytes in place from the page
+// cursor, bytes past the durable boundary from the append buffer. The
+// runs are valid only during the call. ok is false if the range runs
+// past limit (at most the tail) or past what the store holds; fn may
+// then have seen a prefix of it.
+func (l *Log) spanAt(off uint64, n int, limit uint64, fn func([]byte)) (ok bool, err error) {
 	if off+uint64(n) > limit {
-		return dst, false, nil
+		return false, nil
 	}
-	dst = slices.Grow(dst, n)
 	ps := uint64(l.pageSize)
 	for n > 0 && off < l.durable {
 		in := off % ps
 		take := min(uint64(n), ps-in, l.durable-off)
 		data, err := l.page(firstDataPage+int(off/ps), int(in+take))
 		if err != nil {
-			return dst, false, err
+			return false, err
 		}
 		if uint64(len(data)) < in+take {
-			return dst, false, nil // page shorter than expected: past the end
+			return false, nil // page shorter than expected: past the end
 		}
-		dst = append(dst, data[in:in+take]...)
+		fn(data[in : in+take])
 		off += take
 		n -= int(take)
 	}
 	if n > 0 {
-		dst = append(dst, l.buf[off-l.durable:][:n]...)
+		fn(l.buf[off-l.durable:][:n])
 	}
-	return dst, true, nil
+	return true, nil
+}
+
+// appendAt appends the n log bytes at byte offset off to dst (see
+// spanAt).
+func (l *Log) appendAt(dst []byte, off uint64, n int, limit uint64) (_ []byte, ok bool, err error) {
+	if off+uint64(n) > limit {
+		return dst, false, nil
+	}
+	dst = slices.Grow(dst, n)
+	ok, err = l.spanAt(off, n, limit, func(b []byte) { dst = append(dst, b...) })
+	return dst, ok, err
 }
 
 // headerAt decodes the frame header at byte offset off; ok is false if
@@ -404,9 +429,30 @@ func (l *Log) headerAt(off, limit uint64) (h frameHeader, ok bool, err error) {
 
 // frameAt reads the frame at byte offset off, appending its payload to
 // dst; ok is false if no whole frame with a good checksum lies there
-// below the tail. It is the one frame reader under Read, Prev,
-// ReadBackward, Entries and the salvage scan.
+// below the tail. It is the one frame reader under Read, ReadAppend,
+// ReadBackward and the salvage scan.
 func (l *Log) frameAt(dst []byte, off uint64) (h frameHeader, payload []byte, ok bool, err error) {
+	// Most frames lie whole inside one durable page: decode and check
+	// those in place, one cursor lookup per frame. Anything else — a
+	// frame straddling pages or the durable boundary, a bad header, a
+	// cached page shorter than the frame — takes the general path.
+	ps := uint64(l.pageSize)
+	if in := off % ps; off+frameHeaderSize <= l.durable && in+frameHeaderSize <= ps {
+		data, err := l.page(firstDataPage+int(off/ps), int(in+frameHeaderSize))
+		if err != nil {
+			return h, nil, false, err
+		}
+		if uint64(len(data)) >= in+frameHeaderSize {
+			b := data[in:]
+			if h, ok := decodeHeader(b); ok && h.size() <= uint64(len(b)) {
+				p := b[frameHeaderSize:h.size()]
+				if !h.seals(p) {
+					return h, nil, false, nil
+				}
+				return h, append(dst, p...), true, nil
+			}
+		}
+	}
 	h, ok, err = l.headerAt(off, l.tail)
 	if err != nil || !ok {
 		return h, nil, false, err
@@ -416,6 +462,21 @@ func (l *Log) frameAt(dst []byte, off uint64) (h frameHeader, payload []byte, ok
 		return h, nil, false, err
 	}
 	return h, payload, true, nil
+}
+
+// checkFrameAt is frameAt for a reader that wants only the header: it
+// checksums the payload in place instead of copying it out. Prev and
+// Entries use it.
+func (l *Log) checkFrameAt(off uint64) (h frameHeader, ok bool, err error) {
+	h, ok, err = l.headerAt(off, l.tail)
+	if err != nil || !ok {
+		return h, false, err
+	}
+	crc := headerCRC(h.plen, h.prevLen)
+	ok, err = l.spanAt(off+frameHeaderSize, int(h.plen), l.tail, func(b []byte) {
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+	})
+	return h, ok && crc == h.crc, err
 }
 
 // Write appends an entry and returns its address. The entry is durable
@@ -434,25 +495,28 @@ func (l *Log) writeLocked(payload []byte) (LSN, error) {
 		return NoLSN, fmt.Errorf("%w: %d > %d bytes", ErrEntryTooLarge, len(payload), MaxEntry)
 	}
 	lsn := LSN(l.tail)
-	frame := make([]byte, frameHeaderSize+len(payload))
-	frame[0] = frameMagic
-	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(payload)))
+	plen := uint32(len(payload))
 	prev := uint32(0)
 	if l.lastLSN != NoLSN {
 		prev = l.last
 	}
-	binary.LittleEndian.PutUint32(frame[5:9], prev)
-	binary.LittleEndian.PutUint32(frame[9:13], frameCRC(uint32(len(payload)), prev, payload))
-	copy(frame[frameHeaderSize:], payload)
-	l.buf = append(l.buf, frame...)
-	l.tail += uint64(len(frame))
+	// The frame is laid straight into the append buffer, whose capacity
+	// survives each force, so a steady append stream allocates nothing.
+	size := frameHeaderSize + len(payload)
+	l.buf = slices.Grow(l.buf, size)
+	l.buf = append(l.buf, frameMagic)
+	l.buf = binary.LittleEndian.AppendUint32(l.buf, plen)
+	l.buf = binary.LittleEndian.AppendUint32(l.buf, prev)
+	l.buf = binary.LittleEndian.AppendUint32(l.buf, frameCRC(plen, prev, payload))
+	l.buf = append(l.buf, payload...)
+	l.tail += uint64(size)
 	l.lastLSN = lsn
-	l.last = uint32(len(frame))
+	l.last = uint32(size)
 	if l.nEntries >= 0 {
 		l.nEntries++
 	}
 	if l.tr != nil {
-		l.tr.Emit(obs.Event{Kind: obs.KindLogAppend, LSN: uint64(lsn), Bytes: len(frame)})
+		l.tr.Emit(obs.Event{Kind: obs.KindLogAppend, LSN: uint64(lsn), Bytes: size})
 	}
 	return lsn, nil
 }
@@ -563,25 +627,33 @@ func (l *Log) forceRound() error {
 	return nil
 }
 
-// Read returns the entry whose frame starts at address lsn.
+// Read returns the entry whose frame starts at address lsn, in a new
+// slice the caller owns.
 func (l *Log) Read(lsn LSN) ([]byte, error) {
-	payload, _, err := l.readFrame(lsn)
+	return l.ReadAppend(nil, lsn)
+}
+
+// ReadAppend appends the entry whose frame starts at address lsn to dst
+// and returns the extended slice. A scan that passes the same buffer
+// back, truncated, reads every entry without allocating.
+func (l *Log) ReadAppend(dst []byte, lsn LSN) ([]byte, error) {
+	payload, _, err := l.readFrame(dst, lsn)
 	return payload, err
 }
 
-// readFrame returns the payload at lsn and the length of the previous
-// frame (0 if lsn is the first entry).
-func (l *Log) readFrame(lsn LSN) ([]byte, uint32, error) {
+// readFrame appends the payload at lsn to dst and also returns the
+// length of the previous frame (0 if lsn is the first entry).
+func (l *Log) readFrame(dst []byte, lsn LSN) ([]byte, uint32, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.readFrameLocked(lsn)
+	return l.readFrameLocked(dst, lsn)
 }
 
-func (l *Log) readFrameLocked(lsn LSN) ([]byte, uint32, error) {
+func (l *Log) readFrameLocked(dst []byte, lsn LSN) ([]byte, uint32, error) {
 	if lsn == NoLSN || uint64(lsn) >= l.tail {
 		return nil, 0, ErrNoEntry
 	}
-	h, payload, ok, err := l.frameAt(nil, uint64(lsn))
+	h, payload, ok, err := l.frameAt(dst, uint64(lsn))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -589,6 +661,23 @@ func (l *Log) readFrameLocked(lsn LSN) ([]byte, uint32, error) {
 		return nil, 0, ErrNoEntry
 	}
 	return payload, h.prevLen, nil
+}
+
+// prevLenLocked returns the length of the frame before the one at lsn
+// (0 if lsn is the first entry), checking that a whole frame lies at
+// lsn without copying its payload.
+func (l *Log) prevLenLocked(lsn LSN) (uint32, error) {
+	if lsn == NoLSN || uint64(lsn) >= l.tail {
+		return 0, ErrNoEntry
+	}
+	h, ok, err := l.checkFrameAt(uint64(lsn))
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return 0, ErrNoEntry
+	}
+	return h.prevLen, nil
 }
 
 // Top returns the address of the last entry forced to the log, or NoLSN
@@ -612,7 +701,7 @@ func (l *Log) LastAppended() LSN {
 func (l *Log) Prev(lsn LSN) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, prevLen, err := l.readFrameLocked(lsn)
+	prevLen, err := l.prevLenLocked(lsn)
 	if err != nil {
 		return NoLSN, err
 	}
@@ -624,9 +713,22 @@ func (l *Log) Prev(lsn LSN) (LSN, error) {
 
 // ReadBackward calls fn for each entry from lsn back to the first entry,
 // stopping early if fn returns false (§3.1 read_backward).
+//
+// The payload fn receives is borrowed: it is valid only until fn
+// returns, and the next entry is read into the same buffer. A caller
+// that keeps bytes past its callback copies them (an Entry that
+// logrec.DecodeInto fills aliases them too). The scan thereby
+// allocates nothing per entry.
 func (l *Log) ReadBackward(lsn LSN, fn func(lsn LSN, payload []byte) bool) error {
+	return readBackward(l.readFrame, lsn, fn)
+}
+
+// readBackward is read_backward over a frame reader (Log.readFrame or
+// a Reader's lock-free one), reading every payload into one buffer.
+func readBackward(read func(dst []byte, lsn LSN) ([]byte, uint32, error), lsn LSN, fn func(lsn LSN, payload []byte) bool) error {
+	var buf []byte
 	for lsn != NoLSN {
-		payload, prevLen, err := l.readFrame(lsn)
+		payload, prevLen, err := read(buf[:0], lsn)
 		if err != nil {
 			return fmt.Errorf("stablelog: backward read at %v: %w", lsn, err)
 		}
@@ -636,6 +738,7 @@ func (l *Log) ReadBackward(lsn LSN, fn func(lsn LSN, payload []byte) bool) error
 		if prevLen == 0 {
 			return nil
 		}
+		buf = payload
 		lsn = LSN(uint64(lsn) - uint64(prevLen))
 	}
 	return nil
@@ -651,7 +754,7 @@ func (l *Log) Entries() int {
 	if l.nEntries < 0 {
 		n := 0
 		for lsn := l.lastLSN; lsn != NoLSN; {
-			_, prevLen, err := l.readFrameLocked(lsn)
+			prevLen, err := l.prevLenLocked(lsn)
 			if err != nil {
 				break
 			}

@@ -527,3 +527,28 @@ func TestSiteDestroy(t *testing.T) {
 		t.Fatal("destroyed site reopened")
 	}
 }
+
+// TestWriteAllocatesNothing pins the append path: the frame is laid
+// straight into the append buffer, whose capacity survives a force, and
+// the header checksum needs no heap array. A steady append stream
+// therefore allocates nothing per entry.
+func TestWriteAllocatesNothing(t *testing.T) {
+	l, _, _ := freshLog(t, 512)
+	payload := make([]byte, 32)
+	for i := 0; i < 200; i++ {
+		if _, err := l.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := l.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Write allocates %.0f times per append, want 0", allocs)
+	}
+}
